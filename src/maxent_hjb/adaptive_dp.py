@@ -20,16 +20,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import Trajectory, make_rng
+from .dynamics import DIVERGENCE_NORM, Trajectory, make_rng
 from .errors import (
     DimensionMismatchError,
     DivergedTrajectoryError,
     RankDeficientError,
     RankStallError,
 )
-from .lq import quad_regressor, reduce_kron_columns, svec_size, svec_to_mat
-
-DIVERGENCE_NORM = 1e8
+from .lq import numerical_rank, quad_regressor, reduce_kron_columns, svec_size, svec_to_mat
 
 
 @dataclass(frozen=True)
@@ -73,6 +71,11 @@ class OnPolicyRows:
     def windows_used(self) -> int:
         return self.theta.shape[0]
 
+    @property
+    def regressors(self) -> np.ndarray:
+        """The matrix whose rank decides whether (P, K) is identifiable."""
+        return self.theta
+
 
 @dataclass
 class OffPolicyRows:
@@ -87,6 +90,11 @@ class OffPolicyRows:
     @property
     def windows_used(self) -> int:
         return self.delta.shape[0]
+
+    @property
+    def regressors(self) -> np.ndarray:
+        """The matrix whose rank decides whether (P, K) is identifiable."""
+        return np.hstack([reduce_kron_columns(self.i1, self.n), self.i2])
 
 
 @dataclass
@@ -283,17 +291,10 @@ def collect_offpolicy_window(times, states, controls, lam):
     return delta, i1, i2
 
 
-def _numerical_rank(mat, rank_tol):
-    sigma = np.linalg.svd(mat, compute_uv=False)
-    if sigma[0] == 0.0:
-        return 0
-    return int(np.sum(sigma > rank_tol * sigma[0]))
-
-
 def solve_onpolicy(rows: OnPolicyRows, rank_tol: float = 1e-12):
     """Least-squares solve of theta [svec(P); vec(K)] = xi."""
     needed = svec_size(rows.n) + rows.m * rows.n
-    rank = _numerical_rank(rows.theta, rank_tol)
+    rank = numerical_rank(rows.regressors, rank_tol)
     if rank < needed:
         raise RankDeficientError(rank, needed)
     sol, *_ = np.linalg.lstsq(rows.theta, rows.xi, rcond=None)
@@ -306,8 +307,7 @@ def solve_offpolicy(rows: OffPolicyRows, k_gain, q_mat, r_mat, rank_tol: float =
     """Rebuild the gain-dependent blocks for K_k and solve for (P_k, K_{k+1})."""
     n, m = rows.n, rows.m
     needed = svec_size(n) + m * n
-    i1_svec = reduce_kron_columns(rows.i1, n)
-    rank = _numerical_rank(np.hstack([i1_svec, rows.i2]), rank_tol)
+    rank = numerical_rank(rows.regressors, rank_tol)
     if rank < needed:
         raise RankDeficientError(rank, needed)
     gain_block = -2.0 * (
@@ -377,6 +377,49 @@ def _running_cost_increment(system, states, controls, times, lam):
     return float(np.trapezoid(np.exp(-lam * times) * vals, times))
 
 
+def _start_stream(system, k0, config, x0):
+    """Initial gain, exploration covariance factor, generator and stream."""
+    chol_sigma = np.linalg.cholesky(config.alpha * np.linalg.inv(system.r))
+    x0 = np.ones(system.n) if x0 is None else np.asarray(x0, dtype=float)
+    stream = _Stream(x0, system.n, system.m)
+    return np.asarray(k0, dtype=float).copy(), chol_sigma, make_rng(config.seed), stream
+
+
+def _collect_until_rank(system, stream, k_gain, chol_sigma, rng, config, explore, collect, stack):
+    """The window-collection loop shared by both learners.
+
+    Simulates windows under the gain ``k_gain`` and turns each into a tuple of
+    regression rows with ``collect(times, states, controls)``. ``stack`` builds
+    the rows object from the column-wise stacked tuples. Once its regressors
+    reach full rank, ``extra_windows`` more are collected. Returns the rows
+    and the window count at which the rank condition first held.
+    """
+    needed = svec_size(system.n) + system.m * system.n
+    budget = config.window_budget_factor * needed
+    samples = []
+    rank_at = None
+
+    def stacked():
+        return stack(*map(np.asarray, zip(*samples)))
+
+    while True:
+        start = len(stream.times) - 1
+        times, states = _simulate_substeps(
+            system, stream, k_gain, chol_sigma, config.substep, config.n_sub, rng, explore
+        )
+        samples.append(collect(times, states, _window_controls(stream, start, config.n_sub)))
+        windows = len(samples)
+        if rank_at is None and windows >= needed:
+            if numerical_rank(stacked().regressors, config.rank_tol) >= needed:
+                rank_at = windows
+        if rank_at is not None and windows >= rank_at + config.extra_windows:
+            return stacked(), rank_at
+        if windows > budget:
+            raise RankStallError(
+                f"rank condition unmet after {windows} windows (budget {budget})"
+            )
+
+
 def run_onpolicy(
     system: HiddenLqSystem,
     k0: np.ndarray,
@@ -392,54 +435,23 @@ def run_onpolicy(
     additive signal (the sinusoidal comparison baseline).
     """
     n, m = system.n, system.m
-    needed = svec_size(n) + m * n
-    k_gain = np.asarray(k0, dtype=float).copy()
-    sigma = config.alpha * np.linalg.inv(system.r)
-    chol_sigma = np.linalg.cholesky(sigma)
-    rng = make_rng(config.seed)
-    x0 = np.ones(n) if x0 is None else np.asarray(x0, dtype=float)
-    stream = _Stream(x0, n, m)
-    h = config.substep
-
+    k_gain, chol_sigma, rng, stream = _start_stream(system, k0, config, x0)
     iterates = []
     samples_per_iter = []
     rank_counts = []
     converged = False
     p_prev = None
     for _ in range(config.max_iters):
-        theta_rows = []
-        xi_rows = []
-        windows = 0
-        rank_at = None
-        budget = config.window_budget_factor * needed
-        while True:
-            start = len(stream.times) - 1
-            times, states = _simulate_substeps(
-                system, stream, k_gain, chol_sigma, h, config.n_sub, rng, explore
-            )
-            controls = _window_controls(stream, start, config.n_sub)
-            theta_row, xi_row = collect_onpolicy_window(
+        rows, rank_at = _collect_until_rank(
+            system, stream, k_gain, chol_sigma, rng, config, explore,
+            lambda times, states, controls: collect_onpolicy_window(
                 times, states, controls, k_gain, system.q, system.r, config.lam
-            )
-            theta_rows.append(theta_row)
-            xi_rows.append(xi_row)
-            windows += 1
-            if rank_at is None and windows >= needed:
-                theta = np.asarray(theta_rows)
-                if _numerical_rank(theta, config.rank_tol) >= needed:
-                    rank_at = windows
-            if rank_at is not None and windows >= rank_at + config.extra_windows:
-                break
-            if windows > budget:
-                raise RankStallError(
-                    f"rank condition unmet after {windows} windows (budget {budget})"
-                )
-        rows = OnPolicyRows(
-            theta=np.asarray(theta_rows), xi=np.asarray(xi_rows), n=n, m=m
+            ),
+            lambda theta, xi: OnPolicyRows(theta=theta, xi=xi, n=n, m=m),
         )
         p_k, k_next = solve_onpolicy(rows, config.rank_tol)
         iterates.append((p_k, k_next))
-        samples_per_iter.append(windows)
+        samples_per_iter.append(rows.windows_used)
         rank_counts.append(rank_at)
         k_gain = k_next
         if p_prev is not None and np.linalg.norm(p_k - p_prev) < config.eps_stop:
@@ -460,48 +472,13 @@ def run_offpolicy(
 ) -> LearnerReport:
     """Collect once under N(-K0 x, alpha R^-1) until the data matrices reach
     full rank, then iterate the off-policy solve to convergence on that data."""
-    n, m = system.n, system.m
-    needed = svec_size(n) + m * n
-    k_gain = np.asarray(k0, dtype=float).copy()
-    sigma = config.alpha * np.linalg.inv(system.r)
-    chol_sigma = np.linalg.cholesky(sigma)
-    rng = make_rng(config.seed)
-    x0 = np.ones(n) if x0 is None else np.asarray(x0, dtype=float)
-    stream = _Stream(x0, n, m)
-    h = config.substep
-
-    delta_rows, i1_rows, i2_rows = [], [], []
-    windows = 0
-    rank_at = None
-    budget = config.window_budget_factor * needed
-    while True:
-        start = len(stream.times) - 1
-        times, states = _simulate_substeps(
-            system, stream, k_gain, chol_sigma, h, config.n_sub, rng, explore
-        )
-        controls = _window_controls(stream, start, config.n_sub)
-        d_row, i1_row, i2_row = collect_offpolicy_window(times, states, controls, config.lam)
-        delta_rows.append(d_row)
-        i1_rows.append(i1_row)
-        i2_rows.append(i2_row)
-        windows += 1
-        if rank_at is None and windows >= needed:
-            i1_svec = reduce_kron_columns(np.asarray(i1_rows), n)
-            stacked = np.hstack([i1_svec, np.asarray(i2_rows)])
-            if _numerical_rank(stacked, config.rank_tol) >= needed:
-                rank_at = windows
-        if rank_at is not None and windows >= rank_at + config.extra_windows:
-            break
-        if windows > budget:
-            raise RankStallError(
-                f"rank condition unmet after {windows} windows (budget {budget})"
-            )
-    rows = OffPolicyRows(
-        delta=np.asarray(delta_rows),
-        i1=np.asarray(i1_rows),
-        i2=np.asarray(i2_rows),
-        n=n,
-        m=m,
+    k_gain, chol_sigma, rng, stream = _start_stream(system, k0, config, x0)
+    rows, rank_at = _collect_until_rank(
+        system, stream, k_gain, chol_sigma, rng, config, explore,
+        lambda times, states, controls: collect_offpolicy_window(
+            times, states, controls, config.lam
+        ),
+        lambda delta, i1, i2: OffPolicyRows(delta=delta, i1=i1, i2=i2, n=system.n, m=system.m),
     )
     iterates = []
     converged = False
@@ -515,7 +492,7 @@ def run_offpolicy(
             converged = True
             break
         p_prev = p_k
-    samples_per_iter = [windows] + [0] * (len(iterates) - 1)
+    samples_per_iter = [rows.windows_used] + [0] * (len(iterates) - 1)
     return _finalize_report(
         system, stream, k_iter, config, iterates, samples_per_iter, converged, [rank_at]
     )

@@ -124,11 +124,6 @@ class DynamicsModel:
         return np.asarray(fam.field(x, u), dtype=float)
 
 
-def eval_dynamics(model: DynamicsModel, x, u) -> np.ndarray:
-    """Evaluate the vector field f(x, u)."""
-    return model.eval(x, u)
-
-
 @dataclass(frozen=True)
 class QuadraticRunning:
     """r(x, u) = 1/2 x'Qx + 1/2 u'Ru with R symmetric positive definite."""

@@ -50,14 +50,6 @@ class RankStallError(MaxEntError):
     """Data collection hit its window budget before reaching full rank."""
 
 
-class BlowUpError(MaxEntError):
-    """A characteristic curve left the finite region during integration."""
-
-    def __init__(self, s, message=None):
-        self.s = s
-        super().__init__(message or f"characteristic blew up near s={s}")
-
-
 class AllCharacteristicsBlewUpError(MaxEntError):
     """Every optimizer start produced a blown-up characteristic curve."""
 

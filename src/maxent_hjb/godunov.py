@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCflError, DimensionMismatchError
-from .soft_hamiltonian import HamiltonianContext, soft_hamiltonian_batch
+from .soft_hamiltonian import HamiltonianContext, _golden_min_batch, boltzmann_moments
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _MAGIC = b"MEHJB2D\x00"
 _SPEED_REFRESH = 50
 GOLDEN_ITERS = 40
@@ -106,7 +105,12 @@ class GridFunction:
             if header[:8] != _MAGIC:
                 raise ValueError("bad magic in binary grid dump")
             nx, ny, time = struct.unpack("<IId", header[8:24])
-            values = np.frombuffer(fh.read(), dtype="<f8").reshape(nx, ny)
+            payload = fh.read()
+        if len(payload) != 8 * nx * ny:
+            raise DimensionMismatchError(
+                f"dump holds {len(payload)} payload bytes, expected {8 * nx * ny} for {nx} x {ny}"
+            )
+        values = np.frombuffer(payload, dtype="<f8").reshape(nx, ny)
         if (nx, ny) != (grid.nx, grid.ny):
             raise DimensionMismatchError("dump shape does not match the grid")
         return GridFunction(values=values.copy(), grid=grid, time=time)
@@ -130,46 +134,12 @@ class _CachedHamiltonian:
         f = self.f if rows is None else self.f[rows]
         r = self.r if rows is None else self.r[rows]
         l_vals = np.einsum("...i,...ni->...n", p_rows, f) + r
-        l_min = l_vals.min(axis=-1)
-        z = np.exp(-(l_vals - l_min[..., None]) / self.alpha) * self.weights
-        return self.alpha * np.log(z.sum(axis=-1)) - l_min
+        return boltzmann_moments(l_vals, self.weights, self.alpha).value
 
     def grad_norm(self, p_rows: np.ndarray) -> np.ndarray:
         l_vals = np.einsum("mi,mni->mn", p_rows, self.f) + self.r
-        l_min = l_vals.min(axis=1, keepdims=True)
-        z = np.exp(-(l_vals - l_min) / self.alpha) * self.weights
-        total = z.sum(axis=1)
-        mean_f = np.einsum("mn,mni->mi", z, self.f) / total[:, None]
-        return np.linalg.norm(mean_f, axis=1)
-
-
-def _golden_min_batch(evaluate, lo, hi, iters):
-    """Vectorized golden-section minimum per row; returns (values, argmins).
-
-    ``evaluate`` maps an array of coordinate values (one per active row) to
-    objective values. One new evaluation per iteration, as in the scalar method.
-    """
-    a = lo.astype(float).copy()
-    b = hi.astype(float).copy()
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc = evaluate(c)
-    fd = evaluate(d)
-    for _ in range(iters):
-        left = fc <= fd
-        a_new = np.where(left, a, c)
-        b_new = np.where(left, d, b)
-        span = b_new - a_new
-        probe = np.where(left, b_new - _GOLDEN * span, a_new + _GOLDEN * span)
-        f_probe = evaluate(probe)
-        c_next = np.where(left, probe, d)
-        d_next = np.where(left, c, probe)
-        fc_next = np.where(left, f_probe, fd)
-        fd_next = np.where(left, fc, f_probe)
-        a, b, c, d, fc, fd = a_new, b_new, c_next, d_next, fc_next, fd_next
-    vals = np.where(fc <= fd, fc, fd)
-    args = np.where(fc <= fd, c, d)
-    return vals, args
+        grad = boltzmann_moments(l_vals, self.weights, self.alpha, self.f, order=1).gradient
+        return np.linalg.norm(grad, axis=1)
 
 
 def _godunov_extremize(value_fn, p_minus, p_plus, iters=GOLDEN_ITERS):
@@ -226,20 +196,10 @@ def godunov_flux(ctx: HamiltonianContext, x_cell, p_minus, p_plus) -> float:
     """Godunov numerical Hamiltonian at one cell.
 
     With p_minus == p_plus this degenerates to a plain soft-Hamiltonian
-    evaluation through the same code path.
+    evaluation. It runs the solver's own cached-Hamiltonian path.
     """
-    x_cell = np.atleast_1d(np.asarray(x_cell, dtype=float))
-    p_minus = np.atleast_1d(np.asarray(p_minus, dtype=float))
-    p_plus = np.atleast_1d(np.asarray(p_plus, dtype=float))
-
-    def value_fn(p_rows, rows):
-        xs = np.broadcast_to(x_cell, (len(p_rows), len(x_cell)))
-        vals, _ = soft_hamiltonian_batch(
-            ctx.model, ctx.cost, xs, p_rows, ctx.alpha, ctx.grid
-        )
-        return vals
-
-    vals, _ = _godunov_extremize(value_fn, p_minus[None, :], p_plus[None, :])
+    cached = _CachedHamiltonian(ctx, np.atleast_2d(np.asarray(x_cell, dtype=float)))
+    vals, _ = _godunov_extremize(cached.value, p_minus, p_plus)
     return float(vals[0])
 
 

@@ -79,7 +79,6 @@ class ValueEstimate:
 
     value: float
     argmin_v: np.ndarray
-    costate_at_t: np.ndarray
     blown_up_fraction: float
 
 
@@ -107,7 +106,7 @@ class _CurveResult:
     """Backward-integrated batch of characteristics plus running integrals."""
 
     __slots__ = (
-        "gamma0", "p0", "integral_min", "integral_max", "blown",
+        "gamma0", "p0", "integral_min", "integral_max", "blown", "blowup_step",
         "s_grid", "gamma_path", "costate_path",
     )
 
@@ -131,6 +130,7 @@ def _integrate_batch(
     gam = x_rows.astype(float).copy()
     p = v_rows.astype(float).copy()
     blown = np.zeros(b, dtype=bool)
+    blowup_step = np.zeros(b, dtype=int)  # s-index where a curve first left the bounds
     node_min = np.empty((b, n_steps + 1))
     node_max = np.empty((b, n_steps + 1))
     if store_path:
@@ -169,6 +169,7 @@ def _integrate_batch(
             newly = bad & ~blown
             if np.any(newly):
                 blown |= newly
+                blowup_step[newly] = k - 1
                 gam[blown] = 0.0
                 p[blown] = 0.0
             if store_path:
@@ -183,6 +184,7 @@ def _integrate_batch(
     res.integral_min = _simpson(node_min, h)
     res.integral_max = _simpson(node_max, h)
     res.blown = blown
+    res.blowup_step = blowup_step
     res.s_grid = np.linspace(0.0, t, n_steps + 1)
     if store_path:
         res.gamma_path = gam_path
@@ -227,11 +229,7 @@ def integrate_characteristics(
     costate = res.costate_path[:, 0, :].copy()
     gamma[-1] = x  # terminal conditions hold exactly
     costate[-1] = v
-    blowup_s = None
-    if blown:
-        finite = np.all(np.isfinite(gamma), axis=1)
-        idx = np.where(~finite)[0]
-        blowup_s = float(res.s_grid[idx[-1]]) if len(idx) else float(res.s_grid[0])
+    blowup_s = float(res.s_grid[res.blowup_step[0]]) if blown else None
     return CharacteristicCurve(
         s_grid=res.s_grid, gamma=gamma, costate=costate,
         blown_up=blown, blowup_s=blowup_s,
@@ -241,10 +239,16 @@ def integrate_characteristics(
 def legendre_transform(q_spec, v) -> float:
     """Legendre-Fenchel transform q*(v) = sup_x {x.v - q(x)} by terminal family."""
     v = np.atleast_1d(np.asarray(v, dtype=float))
+    return float(_legendre_batch(q_spec, v[None, :])[0])
+
+
+def _legendre_batch(q_spec, v_rows):
+    """q*(v) for each costate row of ``v_rows``."""
     if isinstance(q_spec, L1Terminal):
-        return 0.0 if np.max(np.abs(v)) <= 1.0 else math.inf
+        return np.where(np.max(np.abs(v_rows), axis=1) <= 1.0, 0.0, math.inf)
     if isinstance(q_spec, QuadraticTerminal):
-        return 0.5 * float(v @ np.linalg.solve(q_spec.m, v))
+        sol = np.linalg.solve(q_spec.m, v_rows.T).T
+        return 0.5 * np.einsum("bi,bi->b", v_rows, sol)
     if isinstance(q_spec, GenericTerminal):
         if q_spec.search_box is None:
             raise MaxEntError("generic terminal cost needs a search box for q*")
@@ -252,19 +256,9 @@ def legendre_transform(q_spec, v) -> float:
         axes = [np.linspace(lo, hi, 65) for lo, hi in zip(box.lower, box.upper)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        vals = pts @ v - q_spec.eval(pts)
-        return float(np.max(vals))  # grid approximation over the search box
+        # grid approximation over the search box
+        return np.max(v_rows @ pts.T - q_spec.eval(pts), axis=1)
     raise MaxEntError(f"no Legendre transform for terminal family {type(q_spec).__name__}")
-
-
-def _legendre_batch(q_spec, v_rows):
-    if isinstance(q_spec, L1Terminal):
-        out = np.where(np.max(np.abs(v_rows), axis=1) <= 1.0, 0.0, math.inf)
-        return out
-    if isinstance(q_spec, QuadraticTerminal):
-        sol = np.linalg.solve(q_spec.m, v_rows.T).T
-        return 0.5 * np.einsum("bi,bi->b", v_rows, sol)
-    return np.array([legendre_transform(q_spec, v) for v in v_rows])
 
 
 def _objective_batch(ctx, q_spec, x_rows, v_rows, t, n_steps, formula):
@@ -354,13 +348,20 @@ def _initial_simplices(v0_rows):
 
 
 def _pick_best(values, vertices):
-    """Lowest value wins; ties break lexicographically on v."""
-    best = np.min(values)
-    tied = np.where(values == best)[0]
-    if len(tied) == 1:
-        return tied[0]
-    order = np.lexsort(vertices[tied].T[::-1])
-    return tied[order[0]]
+    """Per query point, the lowest finite value over its starts and the vertex
+    holding it; ties break lexicographically on v.
+
+    ``values`` is (points, starts) and ``vertices`` (points, starts, n).
+    """
+    best_vals = np.empty(len(values))
+    best_v = np.empty((len(values), vertices.shape[-1]))
+    for i, (row, verts) in enumerate(zip(values, vertices)):
+        finite_row = np.where(np.isfinite(row), row, math.inf)
+        tied = np.where(finite_row == np.min(finite_row))[0]
+        k = tied[np.lexsort(verts[tied].T[::-1])[0]]
+        best_vals[i] = row[k]
+        best_v[i] = verts[k]
+    return best_vals, best_v
 
 
 def hopf_lax_value(
@@ -379,45 +380,30 @@ def hopf_lax_value(
     if t <= 0.0:
         raise ValueError("t must be > 0")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    n = x.shape[0]
     n_steps = _step_count(t, config.ode_step)
     rng = make_rng(config.seed)
-    v0 = _ball_samples(rng, config.n_starts, n, config.start_radius)
+    v0 = _ball_samples(rng, config.n_starts, x.shape[0], config.start_radius)
     if extra_starts is not None:
         extra = np.atleast_2d(np.asarray(extra_starts, dtype=float))
         v0 = np.concatenate([extra, v0], axis=0)
 
-    sign = 1.0 if config.formula == MIN_FORM else -1.0
-    saw_finite_transform = config.formula == MIN_FORM
-
-    def objective(v_rows, _owners):
-        nonlocal saw_finite_transform
-        xr = np.repeat(x[None, :], len(v_rows), axis=0)
-        vals, _ = _objective_batch(ctx, q_spec, xr, v_rows, t, n_steps, config.formula)
-        if config.formula == MAX_FORM and np.any(np.isfinite(vals)):
-            saw_finite_transform = True
-        return sign * vals
-
-    simplices = _initial_simplices(v0)
-    owners = np.zeros(len(simplices), dtype=int)
-    best_vals, best_v = _nelder_mead_batch(objective, simplices, config.simplex_iters, owners)
-    finite = np.isfinite(best_vals)
-    blown_fraction = float(np.mean(~finite))
+    vals, verts, saw_finite = _nm_with_points(
+        ctx, q_spec, x[None, :], v0[None], t, n_steps, config.formula, config.simplex_iters
+    )
+    finite = np.isfinite(vals[0])
     if not np.any(finite):
-        if config.formula == MAX_FORM and not saw_finite_transform:
+        if config.formula == MAX_FORM and not saw_finite:
             raise InfeasibleTransformError(
                 "q* was +inf at every probed costate; max-form is infeasible here"
             )
         raise AllCharacteristicsBlewUpError(
             f"all {config.n_starts} starts blew up for t={t}"
         )
-    idx = _pick_best(np.where(finite, best_vals, math.inf), best_v)
-    v_star = best_v[idx]
+    best_vals, best_v = _pick_best(vals, verts)
     return ValueEstimate(
-        value=float(sign * best_vals[idx]),
-        argmin_v=v_star.copy(),
-        costate_at_t=v_star.copy(),
-        blown_up_fraction=blown_fraction,
+        value=float(_sign(config.formula) * best_vals[0]),
+        argmin_v=best_v[0],
+        blown_up_fraction=float(np.mean(~finite)),
     )
 
 
@@ -472,7 +458,6 @@ def _sweep_band(ctx, q_spec, xs, ys, rows, t, config, n_random, warm_iters):
     out = np.empty((nx, len(rows)))
     prev_v = None
     rng = make_rng(config.seed + 7919 * int(rows[0]))
-    sign = 1.0 if config.formula == MIN_FORM else -1.0
     for jj, j in enumerate(rows):
         pts = np.stack([xs, np.full(nx, ys[j])], axis=-1)
         n_cold = config.n_starts if prev_v is None else n_random
@@ -483,35 +468,41 @@ def _sweep_band(ctx, q_spec, xs, ys, rows, t, config, n_random, warm_iters):
             )
             starts = np.concatenate([warm, starts], axis=1)
         iters = config.simplex_iters if prev_v is None else warm_iters
-        vals, verts = _nm_with_points(
+        vals, verts, _ = _nm_with_points(
             ctx, q_spec, pts, starts, t, n_steps, config.formula, iters
         )
-        best_vals = np.full(nx, math.inf)
-        best_v = np.zeros((nx, n))
-        for i in range(nx):
-            row_vals = np.where(np.isfinite(vals[i]), vals[i], math.inf)
-            k = _pick_best(row_vals, verts[i])
-            best_vals[i] = vals[i, k]
-            best_v[i] = verts[i, k]
-        out[:, jj] = sign * best_vals
-        prev_v = best_v
+        best_vals, prev_v = _pick_best(vals, verts)
+        out[:, jj] = _sign(config.formula) * best_vals
     return out
 
 
+def _sign(formula) -> float:
+    """Orientation of the objective: NM minimizes sign * (Hopf-Lax functional)."""
+    return 1.0 if formula == MIN_FORM else -1.0
+
+
 def _nm_with_points(ctx, q_spec, pts, starts, t, n_steps, formula, iters):
-    """Batched NM where each simplex row knows its own query point."""
+    """Multi-start NM for a cloud of query points, ``starts`` being
+    (points, starts per point, n); each simplex row knows its own point.
+
+    Returns the per-start values (in the minimized orientation) and vertices,
+    plus whether any evaluation of the functional came out finite.
+    """
     nx, n_start, n = starts.shape
-    sign = 1.0 if formula == MIN_FORM else -1.0
+    sign = _sign(formula)
     simplices = _initial_simplices(starts.reshape(nx * n_start, n))
     owners = np.repeat(np.arange(nx), n_start)
+    saw_finite = False
 
     def objective_rows(v_rows, owner_rows):
+        nonlocal saw_finite
         xr = pts[owner_rows]
         vals, _ = _objective_batch(ctx, q_spec, xr, v_rows, t, n_steps, formula)
+        saw_finite = saw_finite or bool(np.any(np.isfinite(vals)))
         return sign * vals
 
     vals, verts = _nelder_mead_batch(objective_rows, simplices, iters, owners)
-    return vals.reshape(nx, n_start), verts.reshape(nx, n_start, n)
+    return vals.reshape(nx, n_start), verts.reshape(nx, n_start, n), saw_finite
 
 
 def surface_to_csv(path, xs, ys, values):
@@ -527,7 +518,7 @@ def synthesize_feedback(ctx: HamiltonianContext, estimate: ValueEstimate, x) -> 
     """Boltzmann feedback density at x using the optimizing costate for grad V."""
     if estimate.blown_up_fraction >= 1.0:
         raise AllCharacteristicsBlewUpError("estimate carries no surviving costate")
-    return ctx.density(np.atleast_1d(np.asarray(x, dtype=float)), estimate.costate_at_t)
+    return ctx.density(np.atleast_1d(np.asarray(x, dtype=float)), estimate.argmin_v)
 
 
 def sample_feedback(
@@ -614,7 +605,7 @@ def receding_horizon_control(
                 tau = window_t - k * h
                 est = hopf_lax_value(ctx, q_spec, x, tau, config, extra_starts=warm_v)
                 warm_v = est.argmin_v[None, :]
-                u = sample_feedback(ctx, x, est.costate_at_t, rng)
+                u = sample_feedback(ctx, x, est.argmin_v, rng)
             controls.append(u.copy())
             x = x + h * ctx.model.eval(x, u)
             t_abs += h

@@ -81,9 +81,14 @@ def spectral_abscissa(mat: np.ndarray) -> float:
     return float(np.max(np.real(np.linalg.eigvals(mat))))
 
 
-def _check_rank(mat: np.ndarray, expected: int, label: str):
+def numerical_rank(mat: np.ndarray, rel_tol: float = RANK_TOL) -> int:
+    """Number of singular values above ``rel_tol`` times the largest one."""
     sigma = np.linalg.svd(mat, compute_uv=False)
-    rank = 0 if sigma[0] == 0 else int(np.sum(sigma > RANK_TOL * sigma[0]))
+    return 0 if sigma[0] == 0 else int(np.sum(sigma > rel_tol * sigma[0]))
+
+
+def _check_rank(mat: np.ndarray, expected: int, label: str):
+    rank = numerical_rank(mat)
     if rank < expected:
         warnings.warn(
             f"{label} matrix has numerical rank {rank} < {expected}; the "

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,26 +94,50 @@ class HamiltonianReport:
     log_partition: float
 
 
-def _exponent(model: DynamicsModel, cost: CostModel, x, p, grid: QuadratureGrid):
-    """L_i = p.f(x, u_i) + r(x, u_i) at all nodes; also returns f(x, u_i)."""
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
+def _exponent(model: DynamicsModel, cost: CostModel, x, p, nodes):
+    """L_i = p.f(x, u_i) + r(x, u_i) at all control nodes; also returns f(x, u_i)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    p = np.atleast_1d(np.asarray(p, dtype=float))
     if x.shape != p.shape:
         raise DimensionMismatchError("x and p must have matching shapes")
     xs = x[..., None, :]
-    us = grid.nodes[(None,) * (x.ndim - 1) + (slice(None), slice(None))]
+    us = nodes[(None,) * (x.ndim - 1) + (slice(None), slice(None))]
     f = model.eval(xs, us)  # (..., N, n)
     l_vals = np.einsum("...i,...ni->...n", p, f) + cost.running.eval(xs, us)
     return l_vals, f
 
 
-def _shifted_weights(l_vals, weights, alpha):
-    """exp(-(L - L_min)/a) * w and the stabilized log partition per batch row."""
+class BoltzmannMoments(NamedTuple):
+    """Output of :func:`boltzmann_moments`, one entry per batch row."""
+
+    value: np.ndarray  # a log sum_i w_i exp(-L_i/a)
+    mass: np.ndarray  # w_i exp(-(L_i - L_min)/a), unnormalized
+    total: np.ndarray  # sum_i mass_i
+    gradient: np.ndarray | None = None  # -E[f]
+    hessian: np.ndarray | None = None  # Cov[f]/a
+
+
+def boltzmann_moments(l_vals, weights, alpha, f=None, order=0) -> BoltzmannMoments:
+    """The one Boltzmann-moment kernel: H = a log sum_i w_i exp(-L_i/a) over
+    the last (node) axis, stabilized by a shift at the node minimum of L.
+
+    ``order`` selects how much is computed: 0 gives the value alone, 1 adds
+    -E[f] and 2 also adds Cov[f]/a, both under the density proportional to
+    ``mass`` (``f`` carries the node axis second to last).
+    """
     l_min = l_vals.min(axis=-1, keepdims=True)
-    z = np.exp(-(l_vals - l_min) / alpha)
-    wz = z * weights
-    total = wz.sum(axis=-1)
-    return l_min[..., 0], wz, total
+    mass = np.exp(-(l_vals - l_min) / alpha) * weights
+    total = mass.sum(axis=-1)
+    value = alpha * np.log(total) - l_min[..., 0]
+    if order == 0:
+        return BoltzmannMoments(value, mass, total)
+    mean_f = np.einsum("...n,...ni->...i", mass, f) / total[..., None]
+    if order == 1:
+        return BoltzmannMoments(value, mass, total, -mean_f)
+    centered = f - mean_f[..., None, :]
+    cov = np.einsum("...n,...ni,...nj->...ij", mass, centered, centered) / total[..., None, None]
+    hessian = (cov + np.swapaxes(cov, -1, -2)) / (2.0 * alpha)
+    return BoltzmannMoments(value, mass, total, -mean_f, hessian)
 
 
 def soft_hamiltonian_batch(
@@ -127,13 +152,9 @@ def soft_hamiltonian_batch(
     """Vectorized H_a (and optionally its p-gradient) over leading batch axes."""
     if alpha <= 0.0:
         raise ValueError("alpha must be > 0")
-    l_vals, f = _exponent(model, cost, x, p, grid)
-    l_min, wz, total = _shifted_weights(l_vals, grid.weights, alpha)
-    value = alpha * np.log(total) - l_min
-    if not want_gradient:
-        return value, None
-    grad = -np.einsum("...n,...ni->...i", wz, f) / total[..., None]
-    return value, grad
+    l_vals, f = _exponent(model, cost, x, p, grid.nodes)
+    moments = boltzmann_moments(l_vals, grid.weights, alpha, f, order=int(want_gradient))
+    return moments.value, moments.gradient
 
 
 def soft_hamiltonian(
@@ -156,24 +177,14 @@ def soft_hamiltonian(
             RuntimeWarning,
             stacklevel=2,
         )
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    l_vals, f = _exponent(model, cost, x, p, grid)
-    l_min, wz, total = _shifted_weights(l_vals, grid.weights, alpha)
-    value = float(alpha * np.log(total) - l_min)
-    gradient = hessian = None
-    if want_gradient or want_hessian:
-        mean_f = np.einsum("n,ni->i", wz, f) / total
-        gradient = -mean_f
-    if want_hessian:
-        centered = f - mean_f
-        hess = np.einsum("n,ni,nj->ij", wz, centered, centered) / total
-        hessian = (hess + hess.T) / (2.0 * alpha)
+    l_vals, f = _exponent(model, cost, x, p, grid.nodes)
+    order = 2 if want_hessian else int(want_gradient)
+    moments = boltzmann_moments(l_vals, grid.weights, alpha, f, order)
     return HamiltonianReport(
-        value=value,
-        gradient_p=gradient,
-        hessian_p=hessian,
-        log_partition=float(np.log(total)),
+        value=float(moments.value),
+        gradient_p=moments.gradient,
+        hessian_p=moments.hessian,
+        log_partition=float(np.log(moments.total)),
     )
 
 
@@ -189,11 +200,9 @@ def boltzmann_density(
 
     The node values integrate to one against the grid weights.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    l_vals, _ = _exponent(model, cost, x, p, grid)
-    _, wz, total = _shifted_weights(l_vals, grid.weights, alpha)
-    return wz / grid.weights / total
+    l_vals, _ = _exponent(model, cost, x, p, grid.nodes)
+    moments = boltzmann_moments(l_vals, grid.weights, alpha)
+    return moments.mass / grid.weights / moments.total
 
 
 def grid_entropy(density: np.ndarray, grid: QuadratureGrid) -> float:
@@ -216,14 +225,7 @@ def standard_hamiltonian(
     The best node is refined with golden-section search (one pass per control
     coordinate; coordinate descent when m > 1) inside its neighbor interval.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    l_vals, _ = _exponent(model, cost, x, p, grid)
-
-    def objective(u):
-        f = model.eval(x, u)
-        return float(p @ f + np.asarray(cost.running.eval(x, u)))
-
+    l_vals, _ = _exponent(model, cost, x, p, grid.nodes)
     best_idx = int(np.argmin(l_vals))
     u_best = grid.nodes[best_idx].copy()
     best_val = float(l_vals[best_idx])
@@ -238,37 +240,45 @@ def standard_hamiltonian(
             lo = ax[k - 1] if k > 0 else grid.box.lower[j]
             hi = ax[k + 1] if k < len(ax) - 1 else grid.box.upper[j]
 
-            def coord_obj(val, j=j):
-                u = u_best.copy()
-                u[j] = val
-                return objective(u)
+            def coord_obj(vals, j=j):
+                u = np.repeat(u_best[None, :], len(vals), axis=0)
+                u[:, j] = vals
+                return _exponent(model, cost, x, p, u)[0]
 
-            val, arg = _golden_min(coord_obj, float(lo), float(hi), refine_iters)
-            if val < best_val:
-                best_val = val
-                u_best[j] = arg
+            vals, args = _golden_min_batch(coord_obj, np.array([lo]), np.array([hi]), refine_iters)
+            if vals[0] < best_val:
+                best_val = float(vals[0])
+                u_best[j] = args[0]
     return -best_val
 
 
-def _golden_min(fn, lo, hi, iters):
-    """Golden-section minimization on [lo, hi]; returns (value, argmin)."""
-    if hi <= lo:
-        return fn(lo), lo
-    a, b = lo, hi
+def _golden_min_batch(evaluate, lo, hi, iters):
+    """Vectorized golden-section minimum per row; returns (values, argmins).
+
+    ``evaluate`` maps an array of coordinate values (one per active row) to
+    objective values. One new evaluation per iteration.
+    """
+    a = lo.astype(float).copy()
+    b = hi.astype(float).copy()
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
+    fc = evaluate(c)
+    fd = evaluate(d)
     for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    mid = 0.5 * (a + b)
-    return fn(mid), mid
+        left = fc <= fd
+        a_new = np.where(left, a, c)
+        b_new = np.where(left, d, b)
+        span = b_new - a_new
+        probe = np.where(left, b_new - _GOLDEN * span, a_new + _GOLDEN * span)
+        f_probe = evaluate(probe)
+        c_next = np.where(left, probe, d)
+        d_next = np.where(left, c, probe)
+        fc_next = np.where(left, f_probe, fd)
+        fd_next = np.where(left, fc, f_probe)
+        a, b, c, d, fc, fd = a_new, b_new, c_next, d_next, fc_next, fd_next
+    vals = np.where(fc <= fd, fc, fd)
+    args = np.where(fc <= fd, c, d)
+    return vals, args
 
 
 def laplace_gap(
@@ -290,13 +300,10 @@ def laplace_gap(
     if any(a1 <= a2 for a1, a2 in zip(alphas, alphas[1:])):
         raise ValueError("alphas must be sorted decreasing")
     log_vol = grid.box.log_volume
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    l_vals, _ = _exponent(model, cost, x, p, grid)
+    l_vals, _ = _exponent(model, cost, x, p, grid.nodes)
     out = []
     for a in alphas:
-        l_min, wz, total = _shifted_weights(l_vals, grid.weights, a)
-        h = float(a * np.log(total) - l_min)
+        h = float(boltzmann_moments(l_vals, grid.weights, a).value)
         out.append((a, h, h - a * log_vol))
     return out
 
@@ -336,10 +343,6 @@ class HamiltonianContext:
     cost: CostModel
     alpha: float
     grid: QuadratureGrid
-
-    def value(self, x, p) -> float:
-        v, _ = soft_hamiltonian_batch(self.model, self.cost, x, p, self.alpha, self.grid)
-        return float(v)
 
     def value_batch(self, x, p) -> np.ndarray:
         v, _ = soft_hamiltonian_batch(self.model, self.cost, x, p, self.alpha, self.grid)

@@ -135,6 +135,16 @@ class TestHjbCompareCommand:
         assert (tmp_path / "godunov.csv").exists()
         assert (tmp_path / "hopflax.csv").exists()
 
+    def test_artifacts_independent_of_thread_count(self, tmp_path, monkeypatch):
+        tiny = {"grid_n": "9", "nodes": "8", "n_starts": "3", "simplex_iters": "6",
+                "warm_iters": "3"}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MAXENT_HJB_THREADS", threads)
+            out = tmp_path / threads
+            run(parse_config("hjb-compare", overrides={"out": str(out), **tiny}, seed=5))
+        for name in ("godunov.csv", "hopflax.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
 
 class TestVdpControlCommand:
     def test_short_run(self, tmp_path):

@@ -15,7 +15,6 @@ from maxent_hjb import (
     QuadraticRunning,
     Trajectory,
     build_grid,
-    eval_dynamics,
     evaluate_cost,
     gaussian_entropy,
     kl_from_uniform,
@@ -51,23 +50,23 @@ class TestControlBox:
 class TestEvalDynamics:
     def test_linear_zero_drift_identity_input(self):
         model = DynamicsModel(2, 2, Linear(a=np.zeros((2, 2)), b=np.eye(2)))
-        assert np.allclose(eval_dynamics(model, [1.0, 2.0], [3.0, 4.0]), [3.0, 4.0])
+        assert np.allclose(model.eval([1.0, 2.0], [3.0, 4.0]), [3.0, 4.0])
 
     def test_vdp_equilibrium_at_origin(self):
         model = vdp_plane_model()
-        assert np.allclose(eval_dynamics(model, [0.0, 0.0], [0.0]), [0.0, 0.0])
+        assert np.allclose(model.eval([0.0, 0.0], [0.0]), [0.0, 0.0])
 
     def test_vdp_hand_substitution(self):
         # oracle: direct substitution at x=(1,1), u=0.5
         model = vdp_plane_model()
         channel = 0.5 + 0.5**3 / 3.0 + math.sin(0.5)
         expected = np.array([1.0, -2.0 * (1 - 1) * 1.0 - 1.0 + (2.0 + math.sin(1.0)) * channel])
-        assert np.allclose(eval_dynamics(model, [1.0, 1.0], [0.5]), expected, atol=1e-14)
+        assert np.allclose(model.eval([1.0, 1.0], [0.5]), expected, atol=1e-14)
 
     def test_dimension_mismatch(self):
         model = scalar_decay_model()
         with pytest.raises(DimensionMismatchError):
-            eval_dynamics(model, [1.0, 2.0], [0.0])
+            model.eval([1.0, 2.0], [0.0])
 
     def test_eval_broadcasts(self):
         model = vdp_plane_model()

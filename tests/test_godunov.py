@@ -22,7 +22,7 @@ from maxent_hjb import (
     soft_hamiltonian_batch,
 )
 from maxent_hjb.benchmarks import vdp_plane_cost, vdp_plane_model
-from maxent_hjb.errors import DegenerateCflError
+from maxent_hjb.errors import DegenerateCflError, DimensionMismatchError
 from maxent_hjb.godunov import _CachedHamiltonian
 
 
@@ -92,6 +92,15 @@ class TestGridTypes:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "x, y, W"
         assert len(lines) == 65
+
+    def test_truncated_binary_rejected(self, tmp_path):
+        g = Grid2D(-1.0, 1.0, -1.0, 1.0, 8, 8)
+        f = GridFunction(values=np.ones((8, 8)), grid=g, time=0.0)
+        binary = tmp_path / "field.bin"
+        f.to_binary(binary)
+        binary.write_bytes(binary.read_bytes()[: 32 + 8 * 10])
+        with pytest.raises(DimensionMismatchError):
+            GridFunction.from_binary(binary, g)
 
 
 class TestGodunovFlux:

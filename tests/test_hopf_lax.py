@@ -119,6 +119,8 @@ class TestCharacteristics:
             ctx, [2.0], [0.5], 1.0, HopfLaxConfig(ode_step=0.01)
         )
         assert curve.blown_up
+        # the exact backward solution 1/(s - 0.5) leaves every bound at s = 0.5
+        assert abs(curve.blowup_s - 0.5) <= 0.02
 
 
 class TestLegendreTransform:
@@ -265,7 +267,7 @@ class TestFeedbackSynthesis:
         from maxent_hjb import ValueEstimate
 
         est = ValueEstimate(
-            value=0.0, argmin_v=np.zeros(1), costate_at_t=np.zeros(1), blown_up_fraction=0.0
+            value=0.0, argmin_v=np.zeros(1), blown_up_fraction=0.0
         )
         dens = synthesize_feedback(channel_ctx, est, [0.0])
         assert np.allclose(dens, 0.5, atol=1e-13)
@@ -278,7 +280,7 @@ class TestFeedbackSynthesis:
         grid = build_grid(ControlBox(lower=[-1.0], upper=[1.0]), 64)
         ctx = HamiltonianContext(model=model, cost=cost, alpha=1.0, grid=grid)
         est = ValueEstimate(
-            value=0.0, argmin_v=np.ones(1), costate_at_t=np.ones(1), blown_up_fraction=0.0
+            value=0.0, argmin_v=np.ones(1), blown_up_fraction=0.0
         )
         dens = synthesize_feedback(ctx, est, [0.0])
         expected = np.exp(-grid.nodes[:, 0]) / (math.e - 1.0 / math.e)
@@ -292,7 +294,6 @@ class TestFeedbackSynthesis:
             est = ValueEstimate(
                 value=0.0,
                 argmin_v=rng.normal(size=2),
-                costate_at_t=rng.normal(size=2),
                 blown_up_fraction=0.0,
             )
             dens = synthesize_feedback(lq_ctx, est, rng.normal(size=2))

@@ -1,0 +1,96 @@
+"""Property tests pinning the Boltzmann-moment kernel's invariants."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from maxent_hjb import (
+    CostModel,
+    GenericRunning,
+    HamiltonianContext,
+    boltzmann_moments,
+    build_grid,
+    soft_hamiltonian,
+    soft_hamiltonian_batch,
+)
+from maxent_hjb.benchmarks import vdp_control_box, vdp_plane_cost, vdp_plane_model
+from maxent_hjb.godunov import _CachedHamiltonian
+from maxent_hjb.soft_hamiltonian import _exponent
+
+MODEL = vdp_plane_model()
+COST = vdp_plane_cost()
+GRID = build_grid(vdp_control_box(), nodes_per_dim=32)
+
+coord = st.floats(-2.0, 2.0, allow_nan=False)
+pair = st.tuples(coord, coord).map(np.array)
+rows = st.lists(st.tuples(pair, pair), min_size=1, max_size=6)
+alphas = st.sampled_from([0.05, 0.3, 1.0, 4.0])
+SETTINGS = settings(max_examples=25, deadline=None)
+
+
+@SETTINGS
+@given(rows, alphas)
+def test_scalar_equals_batch_rows(xp, alpha):
+    xs = np.array([x for x, _ in xp])
+    ps = np.array([p for _, p in xp])
+    values, grads = soft_hamiltonian_batch(MODEL, COST, xs, ps, alpha, GRID, want_gradient=True)
+    for x, p, value, grad in zip(xs, ps, values, grads):
+        rep = soft_hamiltonian(MODEL, COST, x, p, alpha, GRID, want_gradient=True)
+        assert rep.value == value
+        assert np.array_equal(rep.gradient_p, grad)
+
+
+@SETTINGS
+@given(pair, pair, alphas, st.floats(-50.0, 50.0, allow_nan=False))
+def test_running_cost_shift(x, p, alpha, c):
+    shifted = CostModel(
+        running=GenericRunning(lambda xs, us: COST.running.eval(xs, us) + c),
+        terminal=COST.terminal,
+        alpha=COST.alpha,
+    )
+    base = soft_hamiltonian(MODEL, COST, x, p, alpha, GRID).value
+    moved = soft_hamiltonian(MODEL, shifted, x, p, alpha, GRID).value
+    assert moved == pytest.approx(base - c, abs=1e-12 * (1.0 + abs(c) + abs(base)))
+
+
+@SETTINGS
+@given(pair, pair, st.sampled_from([0.3, 1.0, 4.0]))
+def test_hessian_symmetric_psd_and_matches_gradient_differences(x, p, alpha):
+    rep = soft_hamiltonian(MODEL, COST, x, p, alpha, GRID, want_gradient=True, want_hessian=True)
+    hess = rep.hessian_p
+    assert np.array_equal(hess, hess.T)
+    assert np.min(np.linalg.eigvalsh(hess)) >= -1e-10 * (1.0 + np.trace(hess))
+    step = 1e-5
+    fd = np.empty((2, 2))
+    for i in range(2):
+        dp = np.zeros(2)
+        dp[i] = step
+        up = soft_hamiltonian(MODEL, COST, x, p + dp, alpha, GRID, want_gradient=True)
+        dn = soft_hamiltonian(MODEL, COST, x, p - dp, alpha, GRID, want_gradient=True)
+        fd[:, i] = (up.gradient_p - dn.gradient_p) / (2.0 * step)
+    np.testing.assert_allclose(hess, fd, atol=1e-5 * (1.0 + np.abs(hess).max()))
+
+
+@SETTINGS
+@given(rows, alphas)
+def test_order_only_selects_the_work(xp, alpha):
+    xs = np.array([x for x, _ in xp])
+    ps = np.array([p for _, p in xp])
+    l_vals, f = _exponent(MODEL, COST, xs, ps, GRID.nodes)
+    zeroth = boltzmann_moments(l_vals, GRID.weights, alpha)
+    first = boltzmann_moments(l_vals, GRID.weights, alpha, f, order=1)
+    second = boltzmann_moments(l_vals, GRID.weights, alpha, f, order=2)
+    assert zeroth.gradient is None and first.hessian is None
+    assert np.array_equal(zeroth.value, first.value) and np.array_equal(first.value, second.value)
+    assert np.array_equal(first.gradient, second.gradient)
+
+
+@SETTINGS
+@given(rows, alphas)
+def test_cached_hamiltonian_matches_value_batch_bitwise(xp, alpha):
+    xs = np.array([x for x, _ in xp])
+    ps = np.array([p for _, p in xp])
+    ctx = HamiltonianContext(model=MODEL, cost=COST, alpha=alpha, grid=GRID)
+    cached = _CachedHamiltonian(ctx, xs)
+    assert np.array_equal(cached.value(ps), ctx.value_batch(xs, ps))
