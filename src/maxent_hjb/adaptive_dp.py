@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import DIVERGENCE_NORM, Trajectory, make_rng
+from .dynamics import Trajectory, diverged, make_rng
 from .errors import (
     DimensionMismatchError,
     DivergedTrajectoryError,
@@ -172,17 +172,11 @@ class HiddenLqSystem:
 class _Stream:
     """Continuous simulation record: one substep per entry."""
 
-    def __init__(self, x0, n, m):
+    def __init__(self, x0, m):
         self.times = [0.0]
         self.states = [np.asarray(x0, dtype=float).copy()]
         self.controls = []
-        self.n = n
         self.m = m
-
-    def append(self, t, x, u):
-        self.times.append(t)
-        self.states.append(x.copy())
-        self.controls.append(u.copy())
 
     def as_trajectory(self, seed) -> Trajectory:
         controls = self.controls + [self.controls[-1]] if self.controls else [np.zeros(self.m)]
@@ -194,37 +188,29 @@ class _Stream:
         )
 
 
-def _simulate_substeps(system, stream, k_gain, chol_sigma, h, count, rng, explore=None):
-    """Advance the stream ``count`` substeps under u = -Kx + noise.
+def _euler_steps(system, stream, k_gain, h, noise=None, count=-1, t_end=math.inf):
+    """Extend the stream by explicit Euler substeps under u = -Kx + noise(t).
 
-    Gaussian exploration draws noise through ``chol_sigma``; a deterministic
-    ``explore`` callable (sinusoidal baseline) replaces it when given. Returns
-    the (times, states) slice covering the new window, both endpoints included.
+    ``noise`` is taken at the pre-step time; None gives the mean control. Stops
+    after ``count`` substeps, or once t reaches ``t_end`` when ``count`` is
+    negative. Every step makes new x and u arrays, so the stream keeps them
+    without copies.
     """
-    start = len(stream.times) - 1
-    x = stream.states[-1].copy()
-    t = stream.times[-1]
-    for _ in range(count):
-        mean = -(k_gain @ x)
-        if explore is not None:
-            u = mean + explore(t)
-        else:
-            u = mean + chol_sigma @ rng.standard_normal(system.m)
+    times, states, controls = stream.times, stream.states, stream.controls
+    x = states[-1]
+    t = times[-1]
+    while count != 0 and t < t_end:
+        count -= 1
+        u = -(k_gain @ x)
+        if noise is not None:
+            u = u + noise(t)
         x = x + h * system.drift(x, u)
         t += h
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_NORM:
-            raise DivergedTrajectoryError(len(stream.times))
-        stream.append(t, x, u)
-    times = np.asarray(stream.times[start : start + count + 1])
-    states = np.asarray(stream.states[start : start + count + 1])
-    return times, states
-
-
-def _window_controls(stream, start, count):
-    """Controls at samples start..start+count; the last is the next draw."""
-    ctr = stream.controls
-    last = ctr[start + count] if len(ctr) > start + count else ctr[start + count - 1]
-    return np.asarray(ctr[start : start + count] + [last])
+        if diverged(x):
+            raise DivergedTrajectoryError(len(times))
+        times.append(t)
+        states.append(x)
+        controls.append(u)
 
 
 def collect_onpolicy_window(times, states, controls, k_gain, q_mat, r_mat, lam):
@@ -354,20 +340,6 @@ def settling_time(traj: Trajectory, band: float) -> float:
     return float(traj.times[last + 1])
 
 
-def _rollout_to_horizon(system, stream, k_gain, config):
-    """Continue under the mean control u = -Kx to the evaluation horizon."""
-    h = config.substep
-    x = stream.states[-1].copy()
-    t = stream.times[-1]
-    while t < config.eval_horizon - 1e-12:
-        u = -(k_gain @ x)
-        x = x + h * system.drift(x, u)
-        t += h
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_NORM:
-            raise DivergedTrajectoryError(len(stream.times))
-        stream.append(t, x, u)
-
-
 def _running_cost_increment(system, states, controls, times, lam):
     q_mat, r_mat = system.q, system.r
     vals = 0.5 * (
@@ -377,18 +349,26 @@ def _running_cost_increment(system, states, controls, times, lam):
     return float(np.trapezoid(np.exp(-lam * times) * vals, times))
 
 
-def _start_stream(system, k0, config, x0):
-    """Initial gain, exploration covariance factor, generator and stream."""
+def _start_stream(system, k0, config, x0, explore):
+    """Initial gain, exploration noise and stream.
+
+    The noise is ``explore`` when given, else one N(0, alpha R^-1) draw per call.
+    """
     chol_sigma = np.linalg.cholesky(config.alpha * np.linalg.inv(system.r))
+    rng = make_rng(config.seed)
+
+    def gaussian(t):
+        return chol_sigma @ rng.standard_normal(system.m)
+
     x0 = np.ones(system.n) if x0 is None else np.asarray(x0, dtype=float)
-    stream = _Stream(x0, system.n, system.m)
-    return np.asarray(k0, dtype=float).copy(), chol_sigma, make_rng(config.seed), stream
+    stream = _Stream(x0, system.m)
+    return np.asarray(k0, dtype=float).copy(), gaussian if explore is None else explore, stream
 
 
-def _collect_until_rank(system, stream, k_gain, chol_sigma, rng, config, explore, collect, stack):
+def _collect_until_rank(system, stream, k_gain, noise, config, collect, stack):
     """The window-collection loop shared by both learners.
 
-    Simulates windows under the gain ``k_gain`` and turns each into a tuple of
+    Simulates windows under u = -(k_gain x) + noise(t) and turns each into a tuple of
     regression rows with ``collect(times, states, controls)``. ``stack`` builds
     the rows object from the column-wise stacked tuples. Once its regressors
     reach full rank, ``extra_windows`` more are collected. Returns the rows
@@ -404,10 +384,12 @@ def _collect_until_rank(system, stream, k_gain, chol_sigma, rng, config, explore
 
     while True:
         start = len(stream.times) - 1
-        times, states = _simulate_substeps(
-            system, stream, k_gain, chol_sigma, config.substep, config.n_sub, rng, explore
-        )
-        samples.append(collect(times, states, _window_controls(stream, start, config.n_sub)))
+        _euler_steps(system, stream, k_gain, config.substep, noise, count=config.n_sub)
+        # the window is the stream's tail; its last sample repeats the held control
+        times = np.asarray(stream.times[start:])
+        states = np.asarray(stream.states[start:])
+        controls = np.asarray(stream.controls[start:] + stream.controls[-1:])
+        samples.append(collect(times, states, controls))
         windows = len(samples)
         if rank_at is None and windows >= needed:
             if numerical_rank(stacked().regressors, config.rank_tol) >= needed:
@@ -435,7 +417,7 @@ def run_onpolicy(
     additive signal (the sinusoidal comparison baseline).
     """
     n, m = system.n, system.m
-    k_gain, chol_sigma, rng, stream = _start_stream(system, k0, config, x0)
+    k_gain, noise, stream = _start_stream(system, k0, config, x0, explore)
     iterates = []
     samples_per_iter = []
     rank_counts = []
@@ -443,7 +425,7 @@ def run_onpolicy(
     p_prev = None
     for _ in range(config.max_iters):
         rows, rank_at = _collect_until_rank(
-            system, stream, k_gain, chol_sigma, rng, config, explore,
+            system, stream, k_gain, noise, config,
             lambda times, states, controls: collect_onpolicy_window(
                 times, states, controls, k_gain, system.q, system.r, config.lam
             ),
@@ -472,9 +454,9 @@ def run_offpolicy(
 ) -> LearnerReport:
     """Collect once under N(-K0 x, alpha R^-1) until the data matrices reach
     full rank, then iterate the off-policy solve to convergence on that data."""
-    k_gain, chol_sigma, rng, stream = _start_stream(system, k0, config, x0)
+    k_gain, noise, stream = _start_stream(system, k0, config, x0, explore)
     rows, rank_at = _collect_until_rank(
-        system, stream, k_gain, chol_sigma, rng, config, explore,
+        system, stream, k_gain, noise, config,
         lambda times, states, controls: collect_offpolicy_window(
             times, states, controls, config.lam
         ),
@@ -501,7 +483,8 @@ def run_offpolicy(
 def _finalize_report(
     system, stream, k_gain, config, iterates, samples_per_iter, converged, rank_counts
 ):
-    _rollout_to_horizon(system, stream, k_gain, config)
+    # the evaluation rollout runs under the mean control u = -Kx
+    _euler_steps(system, stream, k_gain, config.substep, t_end=config.eval_horizon - 1e-12)
     traj = stream.as_trajectory(config.seed)
     total_cost = _running_cost_increment(
         system, traj.states, traj.controls, traj.times, config.lam

@@ -37,7 +37,7 @@ from .benchmarks import (
     vdp_plane_model,
     zero_running_cost,
 )
-from .dynamics import ControlBox
+from .dynamics import ControlBox, write_table
 from .errors import ConfigError, MaxEntError
 from .godunov import Grid2D, compare_solutions, godunov_solve
 from .hopf_lax import HopfLaxConfig, receding_horizon_control, surface_to_csv, value_surface
@@ -236,10 +236,7 @@ def _write_json(path, payload):
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(", ".join(header) + "\n")
-        for row in rows:
-            fh.write(", ".join(f"{v:.17g}" for v in row) + "\n")
+    write_table(path, ", ".join(header), rows)
 
 
 def _parse_vector(raw: str) -> np.ndarray:

@@ -23,6 +23,24 @@ from .errors import (
 )
 
 DIVERGENCE_NORM = 1e8
+_TABLE_BLOCK_ROWS = 1024
+
+
+def diverged(x) -> bool:
+    """A 1-D state is non-finite or beyond DIVERGENCE_NORM (NaN and inf fail ``<=``)."""
+    return not math.sqrt(x @ x) <= DIVERGENCE_NORM
+
+
+def write_table(path, header_line, table, sep=", "):
+    """``header_line``, then one ``sep``-joined ``%.17g`` line per row, formatted
+    a block of rows at a time so that memory stays flat on long tables."""
+    table = np.asarray(table, dtype=float)
+    row = sep.join(["{:.17g}"] * table.shape[1]) + "\n"
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(header_line + "\n")
+        for start in range(0, len(table), _TABLE_BLOCK_ROWS):
+            block = table[start : start + _TABLE_BLOCK_ROWS]
+            fh.write((row * len(block)).format(*block.ravel().tolist()))
 
 
 def _as_vector(x, dim, name):
@@ -298,14 +316,10 @@ class Trajectory:
 
     def to_csv(self, path):
         """CSV with header ``t, x_0.., u_0..``; 17 significant digits."""
-        n = self.states.shape[1]
-        m = self.controls.shape[1]
+        n, m = self.states.shape[1], self.controls.shape[1]
         header = ["t"] + [f"x_{i}" for i in range(n)] + [f"u_{j}" for j in range(m)]
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(", ".join(header) + "\n")
-            for t, x, u in zip(self.times, self.states, self.controls):
-                row = [t, *x, *u]
-                fh.write(", ".join(f"{v:.17g}" for v in row) + "\n")
+        table = np.column_stack([self.times, self.states, self.controls])
+        write_table(path, ", ".join(header), table)
 
     @staticmethod
     def from_csv(path, seed=0) -> "Trajectory":
@@ -368,7 +382,7 @@ def simulate_sampled(
         if k == steps:
             break
         x = x + h * model.eval(x, u)
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_NORM:
+        if diverged(x):
             raise DivergedTrajectoryError(k + 1)
     return Trajectory(times=times, states=states, controls=controls, seed=seed)
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import write_table
 from .errors import DegenerateCflError, DimensionMismatchError
 from .soft_hamiltonian import HamiltonianContext, _golden_min_batch, boltzmann_moments
 
@@ -84,11 +85,7 @@ class GridFunction:
         object.__setattr__(self, "values", values)
 
     def to_csv(self, path):
-        pts = self.grid.points()
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("x, y, W\n")
-            for (x, y), w in zip(pts, self.values.ravel()):
-                fh.write(f"{x:.17g}, {y:.17g}, {w:.17g}\n")
+        write_table(path, "x, y, W", np.column_stack([self.grid.points(), self.values.ravel()]))
 
     def to_binary(self, path):
         """32-byte header (magic, nx, ny, time) + row-major float64 values."""

@@ -25,6 +25,7 @@ from .dynamics import (
     QuadraticTerminal,
     Trajectory,
     make_rng,
+    write_table,
 )
 from .errors import (
     AllCharacteristicsBlewUpError,
@@ -262,16 +263,21 @@ def _legendre_batch(q_spec, v_rows):
 
 
 def _objective_batch(ctx, q_spec, x_rows, v_rows, t, n_steps, formula):
-    """Hopf-Lax functional for each (x, v) row; +/-inf on blown curves."""
+    """Hopf-Lax functional for each (x, v) row; +/-inf on blown curves.
+
+    Also returns the rows whose curve survived, and the surviving rows whose
+    terminal transform is finite (q* in the max form; always, in the min form).
+    """
     res = _integrate_batch(ctx, x_rows, v_rows, t, n_steps)
+    survived = ~res.blown
     if formula == MIN_FORM:
         vals = q_spec.eval(res.gamma0) + res.integral_min
         vals = np.where(res.blown, math.inf, vals)
-        return np.where(np.isnan(vals), math.inf, vals), res.blown
+        return np.where(np.isnan(vals), math.inf, vals), survived, survived
     qstar = _legendre_batch(q_spec, res.p0)
     vals = np.einsum("bi,bi->b", x_rows, v_rows) - qstar - res.integral_max
     vals = np.where(res.blown, -math.inf, vals)
-    return np.where(np.isnan(vals), -math.inf, vals), res.blown
+    return np.where(np.isnan(vals), -math.inf, vals), survived, survived & (qstar < math.inf)
 
 
 def _nelder_mead_batch(objective_rows, simplices, iters, owners):
@@ -387,12 +393,12 @@ def hopf_lax_value(
         extra = np.atleast_2d(np.asarray(extra_starts, dtype=float))
         v0 = np.concatenate([extra, v0], axis=0)
 
-    vals, verts, saw_finite = _nm_with_points(
+    vals, verts, infeasible = _nm_with_points(
         ctx, q_spec, x[None, :], v0[None], t, n_steps, config.formula, config.simplex_iters
     )
     finite = np.isfinite(vals[0])
     if not np.any(finite):
-        if config.formula == MAX_FORM and not saw_finite:
+        if infeasible:
             raise InfeasibleTransformError(
                 "q* was +inf at every probed costate; max-form is infeasible here"
             )
@@ -486,32 +492,31 @@ def _nm_with_points(ctx, q_spec, pts, starts, t, n_steps, formula, iters):
     (points, starts per point, n); each simplex row knows its own point.
 
     Returns the per-start values (in the minimized orientation) and vertices,
-    plus whether any evaluation of the functional came out finite.
+    plus whether the problem looked infeasible: some probed curve survived, but
+    the terminal transform was +inf at every surviving probe.
     """
     nx, n_start, n = starts.shape
     sign = _sign(formula)
     simplices = _initial_simplices(starts.reshape(nx * n_start, n))
     owners = np.repeat(np.arange(nx), n_start)
-    saw_finite = False
+    survived = transformed = False
 
     def objective_rows(v_rows, owner_rows):
-        nonlocal saw_finite
+        nonlocal survived, transformed
         xr = pts[owner_rows]
-        vals, _ = _objective_batch(ctx, q_spec, xr, v_rows, t, n_steps, formula)
-        saw_finite = saw_finite or bool(np.any(np.isfinite(vals)))
+        vals, alive, finite_q = _objective_batch(ctx, q_spec, xr, v_rows, t, n_steps, formula)
+        survived = survived or bool(np.any(alive))
+        transformed = transformed or bool(np.any(finite_q))
         return sign * vals
 
     vals, verts = _nelder_mead_batch(objective_rows, simplices, iters, owners)
-    return vals.reshape(nx, n_start), verts.reshape(nx, n_start, n), saw_finite
+    return vals.reshape(nx, n_start), verts.reshape(nx, n_start, n), survived and not transformed
 
 
 def surface_to_csv(path, xs, ys, values):
     """Value-surface dump: ``x1, x2, W`` rows over the query box."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("x1, x2, W\n")
-        for i, x1 in enumerate(xs):
-            for j, x2 in enumerate(ys):
-                fh.write(f"{x1:.17g}, {x2:.17g}, {values[i, j]:.17g}\n")
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    write_table(path, "x1, x2, W", np.column_stack([gx.ravel(), gy.ravel(), values.ravel()]))
 
 
 def synthesize_feedback(ctx: HamiltonianContext, estimate: ValueEstimate, x) -> np.ndarray:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import write_table
 from .errors import (
     DimensionMismatchError,
     NoConvergenceError,
@@ -326,10 +327,7 @@ def control_affine_policy(f2, v0_grad, r_mat, alpha, x) -> GaussianAtState:
 def save_matrix(path, mat: np.ndarray):
     """Plain-text matrix: first line 'n m', then whitespace-separated rows."""
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{mat.shape[0]} {mat.shape[1]}\n")
-        for row in mat:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+    write_table(path, f"{mat.shape[0]} {mat.shape[1]}", mat, sep=" ")
 
 
 def load_matrix(path) -> np.ndarray:

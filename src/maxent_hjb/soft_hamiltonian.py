@@ -91,7 +91,7 @@ class HamiltonianReport:
     value: float
     gradient_p: np.ndarray | None
     hessian_p: np.ndarray | None
-    log_partition: float
+    log_partition: float  # log Z, Z = sum_i w_i exp(-L_i/alpha); equals value / alpha
 
 
 def _exponent(model: DynamicsModel, cost: CostModel, x, p, nodes):
@@ -184,7 +184,7 @@ def soft_hamiltonian(
         value=float(moments.value),
         gradient_p=moments.gradient,
         hessian_p=moments.hessian,
-        log_partition=float(np.log(moments.total)),
+        log_partition=float(moments.value) / alpha,
     )
 
 

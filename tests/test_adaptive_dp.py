@@ -20,8 +20,15 @@ from maxent_hjb import (
     solve_onpolicy,
     solve_lyapunov,
 )
+from maxent_hjb.adaptive_dp import _euler_steps, _start_stream
 from maxent_hjb.benchmarks import load_fixture
-from maxent_hjb.errors import DimensionMismatchError, RankDeficientError, RankStallError
+from maxent_hjb.dynamics import DIVERGENCE_NORM, diverged, make_rng
+from maxent_hjb.errors import (
+    DimensionMismatchError,
+    DivergedTrajectoryError,
+    RankDeficientError,
+    RankStallError,
+)
 from maxent_hjb.lq import svec, svec_size
 
 
@@ -405,3 +412,117 @@ class TestReportSerialization:
         assert payload["converged"] is True
         assert payload["total_samples"] == rep.total_samples
         assert len(payload["p_norms"]) == len(rep.iterates)
+
+
+class _ReferenceStream:
+    """The stream record as it was before the shared stepper: copying appends."""
+
+    def __init__(self, x0):
+        self.times = [0.0]
+        self.states = [np.asarray(x0, dtype=float).copy()]
+        self.controls = []
+
+    def append(self, t, x, u):
+        self.times.append(t)
+        self.states.append(x.copy())
+        self.controls.append(u.copy())
+
+
+def reference_substeps(system, stream, k_gain, chol_sigma, h, count, rng, explore=None):
+    """Copy of the window-collection loop before it shared the Euler stepper."""
+    x = stream.states[-1].copy()
+    t = stream.times[-1]
+    for _ in range(count):
+        mean = -(k_gain @ x)
+        if explore is not None:
+            u = mean + explore(t)
+        else:
+            u = mean + chol_sigma @ rng.standard_normal(system.m)
+        x = x + h * system.drift(x, u)
+        t += h
+        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_NORM:
+            raise DivergedTrajectoryError(len(stream.times))
+        stream.append(t, x, u)
+
+
+def reference_rollout(system, stream, k_gain, h, eval_horizon):
+    """Copy of the evaluation rollout before it shared the Euler stepper."""
+    x = stream.states[-1].copy()
+    t = stream.times[-1]
+    while t < eval_horizon - 1e-12:
+        u = -(k_gain @ x)
+        x = x + h * system.drift(x, u)
+        t += h
+        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_NORM:
+            raise DivergedTrajectoryError(len(stream.times))
+        stream.append(t, x, u)
+
+
+def stream_bytes(stream):
+    return (
+        np.asarray(stream.times).tobytes(),
+        np.asarray(stream.states).tobytes(),
+        np.asarray(stream.controls).tobytes(),
+    )
+
+
+class TestEulerStepper:
+    """The shared stepper reproduces both former loops bit for bit."""
+
+    @pytest.mark.parametrize("noise", ["gaussian", "explore", "none"])
+    def test_matches_reference_loops(self, fixture_system, noise):
+        system = fixture_system
+        cfg = default_config(seed=4, eval_horizon=1.0)
+        k_gain = 0.1 * np.arange(6.0).reshape(2, 3) - 0.2
+        x0 = [1.0, -0.5, 0.25]
+        explore = sinusoidal_baseline(0.5, 100.0, 20, seed=4, channels=2)
+        _, gaussian, stream = _start_stream(system, k_gain, cfg, x0, None)
+        noise_fn = {"gaussian": gaussian, "explore": explore, "none": None}[noise]
+        ref = _ReferenceStream(x0)
+        chol_sigma = np.linalg.cholesky(cfg.alpha * np.linalg.inv(system.r))
+        rng = make_rng(cfg.seed)
+        # windows under the exploration noise; the old loop had no noise-free
+        # window, so without noise the comparison is the rollout alone
+        for _ in range(0 if noise_fn is None else 7):
+            _euler_steps(system, stream, k_gain, cfg.substep, noise_fn, count=cfg.n_sub)
+            reference_substeps(system, ref, k_gain, chol_sigma, cfg.substep, cfg.n_sub, rng,
+                               explore if noise == "explore" else None)
+        assert len(stream.times) == (1 if noise_fn is None else 71)
+        assert stream_bytes(stream) == stream_bytes(ref)
+        _euler_steps(system, stream, k_gain, cfg.substep, t_end=cfg.eval_horizon - 1e-12)
+        reference_rollout(system, ref, k_gain, cfg.substep, cfg.eval_horizon)
+        assert len(stream.times) == 1001
+        assert stream_bytes(stream) == stream_bytes(ref)
+
+    @pytest.mark.parametrize("noise", ["gaussian", "none"])
+    def test_divergence_at_same_index(self, noise):
+        system = HiddenLqSystem([[5.0]], [[1.0]], [[1.0]], [[1.0]])
+        cfg = default_config(seed=0, delta_t=0.1, n_sub=10)
+        k_gain = np.zeros((1, 1))
+        _, gaussian, stream = _start_stream(system, k_gain, cfg, [1.0], None)
+        ref = _ReferenceStream([1.0])
+        with pytest.raises(DivergedTrajectoryError) as new_err:
+            if noise == "gaussian":
+                _euler_steps(system, stream, k_gain, cfg.substep, gaussian, count=10**6)
+            else:
+                _euler_steps(system, stream, k_gain, cfg.substep, t_end=cfg.eval_horizon)
+        with pytest.raises(DivergedTrajectoryError) as ref_err:
+            if noise == "gaussian":
+                chol_sigma = np.linalg.cholesky(cfg.alpha * np.linalg.inv(system.r))
+                reference_substeps(system, ref, k_gain, chol_sigma, cfg.substep, 10**6,
+                                   make_rng(cfg.seed))
+            else:
+                reference_rollout(system, ref, k_gain, cfg.substep, cfg.eval_horizon)
+        assert new_err.value.step == ref_err.value.step == len(stream.times)
+        assert stream_bytes(stream) == stream_bytes(ref)
+
+    @pytest.mark.parametrize(
+        "x",
+        [[0.0], [1e8], [1e8 * (1 + 2**-52)], [-2e8], [math.nan], [math.inf], [-math.inf],
+         [1e200, 0.0], [6e7, 8e7], [6e7, 8.0000001e7]],
+    )
+    def test_divergence_predicate_matches_norm_test(self, x):
+        x = np.asarray(x)
+        with np.errstate(over="ignore"):
+            old = not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_NORM
+            assert diverged(x) == old

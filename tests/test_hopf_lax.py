@@ -231,6 +231,22 @@ class TestHopfLaxValue:
         with pytest.raises(AllCharacteristicsBlewUpError):
             hopf_lax_value(ctx, cost.terminal, [3.0], 1.0, cfg)
 
+    @pytest.mark.parametrize("formula", ["min", "max"])
+    def test_all_blowup_raises_in_both_forms(self, formula):
+        # q* of a quadratic terminal is finite everywhere, so when every curve
+        # blows up the max form must not report an infeasible transform
+        model = DynamicsModel(
+            1, 1, Generic(lambda x, u: x[..., :1] ** 2 + 0.0 * u[..., :1])
+        )
+        cost = zero_scalar_cost()
+        grid = build_grid(ControlBox(lower=[-1.0], upper=[1.0]), 16)
+        ctx = HamiltonianContext(model=model, cost=cost, alpha=1.0, grid=grid)
+        cfg = HopfLaxConfig(
+            ode_step=0.025, n_starts=4, simplex_iters=10, formula=formula, seed=0
+        )
+        with pytest.raises(AllCharacteristicsBlewUpError):
+            hopf_lax_value(ctx, QuadraticTerminal(m=[[1.0]]), [3.0], 1.0, cfg)
+
     def test_infeasible_transform_raises(self, channel_ctx):
         # l1 transform is +inf outside the unit box; park all starts far away
         cfg = HopfLaxConfig(

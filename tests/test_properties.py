@@ -1,4 +1,4 @@
-"""Property tests pinning the Boltzmann-moment kernel's invariants."""
+"""Property tests pinning the Boltzmann-moment kernel's and the LQ algebra's invariants."""
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from maxent_hjb import (
 )
 from maxent_hjb.benchmarks import vdp_control_box, vdp_plane_cost, vdp_plane_model
 from maxent_hjb.godunov import _CachedHamiltonian
+from maxent_hjb.lq import quad_regressor, solve_lyapunov, spectral_abscissa, svec, svec_to_mat
 from maxent_hjb.soft_hamiltonian import _exponent
 
 MODEL = vdp_plane_model()
@@ -94,3 +95,47 @@ def test_cached_hamiltonian_matches_value_batch_bitwise(xp, alpha):
     ctx = HamiltonianContext(model=MODEL, cost=COST, alpha=alpha, grid=GRID)
     cached = _CachedHamiltonian(ctx, xs)
     assert np.array_equal(cached.value(ps), ctx.value_batch(xs, ps))
+
+
+dims = st.integers(1, 6)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _random_symmetric(n, seed):
+    g = np.random.default_rng(seed).standard_normal((n, n))
+    return g + g.T
+
+
+@SETTINGS
+@given(dims, seeds)
+def test_svec_round_trip(n, seed):
+    p = _random_symmetric(n, seed)
+    v = svec(p)
+    assert v.shape == (n * (n + 1) // 2,)
+    assert np.array_equal(svec_to_mat(v, n), p)
+    assert np.array_equal(svec(svec_to_mat(v, n)), v)
+
+
+@SETTINGS
+@given(dims, seeds)
+def test_quad_regressor_is_the_quadratic_form(n, seed):
+    p = _random_symmetric(n, seed)
+    x = np.random.default_rng(seed + 1).standard_normal(n)
+    scale = 1.0 + np.abs(p).sum() * (x @ x)
+    assert quad_regressor(x) @ svec(p) == pytest.approx(x @ p @ x, abs=1e-12 * scale)
+
+
+@SETTINGS
+@given(dims, seeds, st.floats(0.1, 2.0), st.sampled_from([0.0, 1e-10, 0.1, 1.0]))
+def test_lyapunov_residual_on_hurwitz_matrices(n, seed, margin, lam):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) / np.sqrt(n)
+    a -= (spectral_abscissa(a) + margin) * np.eye(n)
+    g = rng.standard_normal((n, n))
+    m_rhs = g @ g.T
+    p = solve_lyapunov(a, lam, m_rhs)
+    residual = np.linalg.norm(a.T @ p + p @ a - lam * p + m_rhs)
+    assert residual <= 1e-10 * max(1.0, np.linalg.norm(m_rhs))
+    assert np.array_equal(p, p.T)
+    # M PSD and A - (lam/2) I Hurwitz make P the PSD Gramian
+    assert np.min(np.linalg.eigvalsh(p)) >= -1e-10 * max(1.0, np.linalg.norm(p))

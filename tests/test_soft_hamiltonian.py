@@ -53,6 +53,18 @@ class TestSoftHamiltonianValue:
         rep = soft_hamiltonian(channel_model, zero_cost, [0.0], [1.0], 1.0, unit_grid)
         assert rep.value == pytest.approx(math.log(math.e - 1.0 / math.e), abs=1e-10)
 
+    def test_log_partition_of_constant_cost(self, channel_model, unit_grid):
+        # Z = integral over [-1, 1] of exp(-3) du, so log Z = log 2 - 3
+        cost = CostModel(
+            running=GenericRunning(lambda x, u: 3.0 + 0.0 * u[..., 0] + 0.0 * x[..., 0]),
+            terminal=None,
+            alpha=1.0,
+            lam=0.0,
+            horizon=1.0,
+        )
+        rep = soft_hamiltonian(channel_model, cost, [0.0], [0.0], 1.0, unit_grid)
+        assert rep.log_partition == pytest.approx(math.log(2.0) - 3.0, abs=1e-12)
+
     @pytest.mark.parametrize("p", [-3.0, -1.0, -0.1, 0.1, 1.0, 3.0])
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_sinh_closed_form(self, channel_model, zero_cost, unit_grid, p, alpha):
