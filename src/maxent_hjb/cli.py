@@ -322,13 +322,17 @@ def _run_ham_sweep(config: ExperimentConfig, out: Path, produced: list):
 def _threads() -> int:
     raw = os.environ.get("MAXENT_HJB_THREADS", "1")
     try:
-        return max(1, int(raw))
+        threads = int(raw)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"MAXENT_HJB_THREADS must be an integer >= 1, got {raw!r}")
+    return threads
 
 
 def _run_hjb_compare(config: ExperimentConfig, out: Path, produced: list):
     p = config.params
+    processes = _threads()
     model = vdp_plane_model()
     cost = vdp_plane_cost(alpha=p["alpha"], horizon=p["t"])
     grid_q = build_grid(vdp_control_box(), p["nodes"])
@@ -352,7 +356,7 @@ def _run_hjb_compare(config: ExperimentConfig, out: Path, produced: list):
         hl_config,
         n_random=p["n_random"],
         n_bands=p["n_bands"],
-        processes=_threads(),
+        processes=processes,
         warm_iters=p["warm_iters"],
     )
     report = compare_solutions(godunov, lambda pts: surface.ravel(), b_time=p["t"])

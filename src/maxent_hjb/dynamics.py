@@ -429,18 +429,15 @@ def _expected_running_cost(cost: CostModel, policy: GaussianPolicy, states, grid
         raise UnsupportedFamilyError(
             "generic running cost with a Gaussian policy needs a quadrature grid"
         )
-    # Quadrature fallback: expectation of r under the box-truncated Gaussian.
-    nodes = grid.nodes  # (N, m)
-    weights = grid.weights
-    mean = policy.mean(states)  # (T, m)
-    cov_inv = np.linalg.inv(policy.covariance)
-    diff = nodes[None, :, :] - mean[:, None, :]
-    expo = -0.5 * np.einsum("tni,ij,tnj->tn", diff, cov_inv, diff)
-    expo -= expo.max(axis=1, keepdims=True)
-    dens = np.exp(expo) * weights[None, :]
-    dens_sum = dens.sum(axis=1)
-    rvals = running.eval(states[:, None, :], nodes[None, :, :])
-    return np.einsum("tn,tn->t", dens, rvals) / dens_sum
+    # Quadrature fallback: E[r] under the box-truncated Gaussian is the kernel's
+    # -E[f] with L = 1/2 d'Sigma^-1 d, alpha = 1 and f = r. The import is local
+    # because soft_hamiltonian imports this module.
+    from .soft_hamiltonian import boltzmann_moments
+
+    diff = grid.nodes[None, :, :] - policy.mean(states)[:, None, :]
+    l_vals = 0.5 * np.einsum("tni,ij,tnj->tn", diff, np.linalg.inv(policy.covariance), diff)
+    rvals = running.eval(states[:, None, :], grid.nodes[None, :, :])
+    return -boltzmann_moments(l_vals, grid.weights, 1.0, rvals[..., None], order=1).gradient[:, 0]
 
 
 def evaluate_cost(

@@ -532,42 +532,25 @@ def sample_feedback(
     costate,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Draw one control from the Boltzmann feedback density.
+    """Draw one control from the Boltzmann feedback density, for any control dimension.
 
-    1-D controls invert the piecewise-linear CDF on the grid; higher dimensions
-    use rejection against the uniform proposal.
+    Node k is drawn with probability w_k g_k, the quadrature's own mass, by
+    inverting the cumulative masses with one uniform. The control is then
+    uniform in k's tensor cell, whose edges on each axis are the midpoints
+    between neighbouring 1-D nodes, with the box bounds at the two ends. The
+    draw is exact for the density that puts mass w_k g_k evenly on each cell.
     """
     grid = ctx.grid
-    dens = ctx.density(np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(costate))
-    if grid.box.dim == 1:
-        order = np.argsort(grid.nodes[:, 0])
-        u_sorted = grid.nodes[order, 0]
-        mass = (dens * grid.weights)[order]
-        cdf = np.cumsum(mass)
-        cdf = cdf / cdf[-1]
-        target = rng.random()
-        k = int(np.searchsorted(cdf, target))
-        k = min(k, len(u_sorted) - 1)
-        c_lo = cdf[k - 1] if k > 0 else 0.0
-        u_lo = u_sorted[k - 1] if k > 0 else grid.box.lower[0]
-        frac = (target - c_lo) / max(cdf[k] - c_lo, 1e-300)
-        return np.array([u_lo + frac * (u_sorted[k] - u_lo)])
-    # Rejection against the uniform proposal; the exponent at the best node
-    # bounds the density up to a 1.2 safety factor for off-node peaks.
     box = grid.box
-    x_vec = np.atleast_1d(np.asarray(x, dtype=float))
-    p_vec = np.atleast_1d(np.asarray(costate, dtype=float))
-    best_node = grid.nodes[int(np.argmax(dens))]
-    f_best = ctx.model.eval(x_vec, best_node)
-    l_best = float(p_vec @ f_best) + float(np.asarray(ctx.cost.running.eval(x_vec, best_node)))
-    for _ in range(10_000):
-        proposal = box.lower + rng.random(box.dim) * (box.upper - box.lower)
-        f = ctx.model.eval(x_vec, proposal)
-        l_prop = float(p_vec @ f) + float(np.asarray(ctx.cost.running.eval(x_vec, proposal)))
-        ratio = math.exp(min((l_best - l_prop) / ctx.alpha, 0.0))
-        if rng.random() * 1.2 <= ratio:
-            return proposal
-    return best_node.copy()
+    dens = ctx.density(np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(costate))
+    cdf = np.cumsum(dens * grid.weights)
+    k = np.searchsorted(cdf, rng.random() * cdf[-1], side="right")
+    cell = np.unravel_index(k, [len(ax) for ax in grid.axes])
+    lo, hi = np.empty(box.dim), np.empty(box.dim)
+    for j, (ax, i) in enumerate(zip(grid.axes, cell)):
+        lo[j] = box.lower[j] if i == 0 else 0.5 * (ax[i - 1] + ax[i])
+        hi[j] = box.upper[j] if i == len(ax) - 1 else 0.5 * (ax[i] + ax[i + 1])
+    return lo + rng.random(box.dim) * (hi - lo)
 
 
 def receding_horizon_control(
@@ -597,9 +580,9 @@ def receding_horizon_control(
     h = dt * dt
     steps_per_window = max(1, int(round(window_t / h)))
     rng = make_rng(config.seed)
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
     times = [0.0]
-    states = [x.copy()]
+    states = [x]
     controls = []
     t_abs = 0.0
     warm_v = None
@@ -611,12 +594,12 @@ def receding_horizon_control(
                 est = hopf_lax_value(ctx, q_spec, x, tau, config, extra_starts=warm_v)
                 warm_v = est.argmin_v[None, :]
                 u = sample_feedback(ctx, x, est.argmin_v, rng)
-            controls.append(u.copy())
+            controls.append(u)
             x = x + h * ctx.model.eval(x, u)
             t_abs += h
             times.append(t_abs)
-            states.append(x.copy())
-    controls.append(controls[-1].copy() if controls else np.zeros(ctx.grid.box.dim))
+            states.append(x)
+    controls.append(controls[-1] if controls else np.zeros(ctx.grid.box.dim))
     return Trajectory(
         times=np.asarray(times),
         states=np.asarray(states),

@@ -33,11 +33,12 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 class QuadratureGrid:
     """Tensorized nodes/weights over a control box."""
 
-    nodes: np.ndarray  # (N, m)
+    nodes: np.ndarray  # (N, m), the C-order tensor product of ``axes``
     weights: np.ndarray  # (N,)
     nodes_per_dim: int
     rule: str
     box: ControlBox
+    axes: tuple[np.ndarray, ...]  # ascending 1-D nodes per control axis
 
     @property
     def size(self) -> int:
@@ -69,11 +70,12 @@ def build_grid(box: ControlBox, nodes_per_dim: int = 64, rule: str = "gauss_lege
     if rule == "gauss_legendre" and box.dim > 3:
         rule = "trapezoid"
     one_d = _gauss_legendre_1d if rule == "gauss_legendre" else _trapezoid_1d
-    axes = [one_d(lo, hi, nodes_per_dim) for lo, hi in zip(box.lower, box.upper)]
-    mesh = np.meshgrid(*[a[0] for a in axes], indexing="ij")
+    per_axis = [one_d(lo, hi, nodes_per_dim) for lo, hi in zip(box.lower, box.upper)]
+    axes, axis_weights = zip(*per_axis)
+    mesh = np.meshgrid(*axes, indexing="ij")
     nodes = np.stack([m.ravel() for m in mesh], axis=-1)
-    weights = axes[0][1]
-    for _, w in axes[1:]:
+    weights = axis_weights[0]
+    for w in axis_weights[1:]:
         weights = np.multiply.outer(weights, w)
     return QuadratureGrid(
         nodes=nodes,
@@ -81,6 +83,7 @@ def build_grid(box: ControlBox, nodes_per_dim: int = 64, rule: str = "gauss_lege
         nodes_per_dim=nodes_per_dim,
         rule=rule,
         box=box,
+        axes=axes,
     )
 
 
@@ -230,12 +233,9 @@ def standard_hamiltonian(
     u_best = grid.nodes[best_idx].copy()
     best_val = float(l_vals[best_idx])
     m = grid.box.dim
-    # Neighbor spacing per axis, from the 1-D projections of the tensor grid.
-    axes = [np.unique(grid.nodes[:, j]) for j in range(m)]
     passes = 1 if m == 1 else 2
     for _ in range(passes):
-        for j in range(m):
-            ax = axes[j]
+        for j, ax in enumerate(grid.axes):
             k = int(np.argmin(np.abs(ax - u_best[j])))
             lo = ax[k - 1] if k > 0 else grid.box.lower[j]
             hi = ax[k + 1] if k < len(ax) - 1 else grid.box.upper[j]

@@ -8,7 +8,7 @@ import pytest
 from maxent_hjb import kleinman_iterate, load_matrix
 from maxent_hjb.benchmarks import load_fixture
 from maxent_hjb.cli import RunManifest, main, parse_config, run
-from maxent_hjb.errors import ConfigError
+from maxent_hjb.errors import ConfigError, MaxEntError
 
 
 class TestParseConfig:
@@ -144,6 +144,12 @@ class TestHjbCompareCommand:
             run(parse_config("hjb-compare", overrides={"out": str(out), **tiny}, seed=5))
         for name in ("godunov.csv", "hopflax.csv"):
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+    @pytest.mark.parametrize("threads", ["abc", "-4", "0"])
+    def test_invalid_thread_count_rejected(self, tmp_path, monkeypatch, threads):
+        monkeypatch.setenv("MAXENT_HJB_THREADS", threads)
+        with pytest.raises(MaxEntError, match="MAXENT_HJB_THREADS"):
+            run(parse_config("hjb-compare", overrides={"out": str(tmp_path)}))
 
 
 class TestVdpControlCommand:

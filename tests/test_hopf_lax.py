@@ -329,6 +329,92 @@ class TestFeedbackSynthesis:
         assert np.all(np.abs(draws) <= 1.0)
 
 
+def _plane_channel_ctx(alpha, nodes_per_dim):
+    """f = u, r = 0 on U = [-1, 1]^2."""
+    model = DynamicsModel(2, 2, Generic(lambda x, u: u + 0.0 * x))
+    cost = CostModel(
+        running=GenericRunning(lambda x, u: 0.0 * (x[..., 0] + u[..., 0])),
+        terminal=None,
+        alpha=alpha,
+        lam=0.0,
+        horizon=1.0,
+    )
+    grid = build_grid(ControlBox(lower=[-1.0, -1.0], upper=[1.0, 1.0]), nodes_per_dim)
+    return HamiltonianContext(model=model, cost=cost, alpha=alpha, grid=grid)
+
+
+def _cell_edges(grid):
+    """Per-axis cell edges: midpoints between 1-D nodes, box bounds at the ends."""
+    edges = []
+    for j in range(grid.box.dim):
+        ax = np.unique(grid.nodes[:, j])
+        mids = 0.5 * (ax[1:] + ax[:-1])
+        edges.append(np.concatenate(([grid.box.lower[j]], mids, [grid.box.upper[j]])))
+    return edges
+
+
+def _draws(ctx, x, costate, n, seed):
+    rng = np.random.default_rng(seed)
+    x, costate = np.asarray(x, dtype=float), np.asarray(costate, dtype=float)
+    return np.array([sample_feedback(ctx, x, costate, rng) for _ in range(n)])
+
+
+class TestFeedbackSampler:
+    """``sample_feedback`` picks node i with probability w_i g_i and draws
+    uniformly in its tensor cell."""
+
+    def test_uniform_density_is_centred_and_reaches_the_box_ends(self):
+        cost = zero_scalar_cost(alpha=1.0)
+        grid = build_grid(ControlBox(lower=[-1.0], upper=[1.0]), 8)
+        ctx = HamiltonianContext(model=linear_channel_model(), cost=cost, alpha=1.0, grid=grid)
+        draws = _draws(ctx, [0.0], [0.0], 20_000, seed=11)[:, 0]
+        stderr = draws.std() / math.sqrt(len(draws))
+        assert abs(draws.mean()) <= 4.0 * stderr
+        assert draws.max() > grid.nodes[:, 0].max()
+        assert draws.min() < grid.nodes[:, 0].min()
+
+    def test_sharp_two_dimensional_density(self):
+        ctx = _plane_channel_ctx(alpha=0.01, nodes_per_dim=16)
+        grid = ctx.grid
+        costate = np.array([0.5, -0.4])
+        draws = _draws(ctx, [0.0, 0.0], costate, 1000, seed=5)
+        on_node = (draws[:, None, :] == grid.nodes[None, :, :]).all(axis=2)
+        assert not on_node.any()
+        assert np.all((draws >= grid.box.lower) & (draws <= grid.box.upper))
+        mass = grid.weights * ctx.density(np.zeros(2), costate)
+        quad_mean = mass @ grid.nodes
+        half_width = np.array([0.5 * np.diff(e).max() for e in _cell_edges(grid)])
+        mc_err = 4.0 * draws.std(axis=0) / math.sqrt(len(draws))
+        assert np.all(np.abs(draws.mean(axis=0) - quad_mean) <= mc_err + half_width)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_cell_shares_match_node_masses(self, dim):
+        if dim == 1:
+            ctx = HamiltonianContext(
+                model=linear_channel_model(),
+                cost=zero_scalar_cost(alpha=0.5),
+                alpha=0.5,
+                grid=build_grid(ControlBox(lower=[-1.0], upper=[1.0]), 8),
+            )
+            costate = np.array([0.8])
+        else:
+            ctx = _plane_channel_ctx(alpha=0.5, nodes_per_dim=6)
+            costate = np.array([0.8, -0.5])
+        grid = ctx.grid
+        n = 20_000
+        draws = _draws(ctx, np.zeros(dim), costate, n, seed=dim)
+        cells = tuple(
+            np.clip(np.searchsorted(e, draws[:, j], side="right") - 1, 0, len(e) - 2)
+            for j, e in enumerate(_cell_edges(grid))
+        )
+        counts = np.bincount(
+            np.ravel_multi_index(cells, (grid.nodes_per_dim,) * dim), minlength=grid.size
+        )
+        share = grid.weights * ctx.density(np.zeros(dim), costate)
+        stderr = np.sqrt(share * (1.0 - share) / n)
+        assert np.all(np.abs(counts / n - share) <= 4.0 * stderr)
+
+
 class TestRecedingHorizon:
     def test_zero_field_constant_trajectory(self):
         model = DynamicsModel(

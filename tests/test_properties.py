@@ -1,4 +1,5 @@
-"""Property tests pinning the Boltzmann-moment kernel's and the LQ algebra's invariants."""
+"""Property tests pinning the invariants of the Boltzmann-moment kernel, the
+Godunov flux and the LQ algebra."""
 
 import numpy as np
 import pytest
@@ -9,14 +10,25 @@ from maxent_hjb import (
     CostModel,
     GenericRunning,
     HamiltonianContext,
+    LqProblem,
     boltzmann_moments,
     build_grid,
+    godunov_flux,
+    kleinman_iterate,
+    make_stable_system,
     soft_hamiltonian,
     soft_hamiltonian_batch,
 )
 from maxent_hjb.benchmarks import vdp_control_box, vdp_plane_cost, vdp_plane_model
 from maxent_hjb.godunov import _CachedHamiltonian
-from maxent_hjb.lq import quad_regressor, solve_lyapunov, spectral_abscissa, svec, svec_to_mat
+from maxent_hjb.lq import (
+    are_residual,
+    quad_regressor,
+    solve_lyapunov,
+    spectral_abscissa,
+    svec,
+    svec_to_mat,
+)
 from maxent_hjb.soft_hamiltonian import _exponent
 
 MODEL = vdp_plane_model()
@@ -71,6 +83,37 @@ def test_hessian_symmetric_psd_and_matches_gradient_differences(x, p, alpha):
         dn = soft_hamiltonian(MODEL, COST, x, p - dp, alpha, GRID, want_gradient=True)
         fd[:, i] = (up.gradient_p - dn.gradient_p) / (2.0 * step)
     np.testing.assert_allclose(hess, fd, atol=1e-5 * (1.0 + np.abs(hess).max()))
+
+
+@SETTINGS
+@given(pair, pair, pair, st.floats(0.0, 1.0), alphas)
+def test_convex_in_p_on_the_batch_path(x, p1, p2, lam, alpha):
+    # H is a log-sum-exp of functions affine in p, so convexity holds up to rounding
+    mid = lam * p1 + (1.0 - lam) * p2
+    values, _ = soft_hamiltonian_batch(
+        MODEL, COST, np.repeat(x[None, :], 3, axis=0), np.array([p1, p2, mid]), alpha, GRID
+    )
+    chord = lam * values[0] + (1.0 - lam) * values[1]
+    assert values[2] <= chord + 1e-12 * (1.0 + abs(values[0]) + abs(values[1]))
+
+
+steps = st.floats(0.0, 1.0)
+
+
+@SETTINGS
+@given(pair, pair, pair, st.integers(0, 1), steps, alphas)
+def test_godunov_flux_monotone(x, p_minus, p_plus, i, step, alpha):
+    # Nondecreasing in each coordinate of p_minus, nonincreasing in each of
+    # p_plus. The golden search on a minimizing branch stops within
+    # 0.618^40 ~ 4e-9 of its interval; at an interior minimum that moves H by
+    # O(1e-17), so rounding in H sets the tolerance: 1e-12 * (1 + |H|).
+    ctx = HamiltonianContext(model=MODEL, cost=COST, alpha=alpha, grid=GRID)
+    base = godunov_flux(ctx, x, p_minus, p_plus)
+    bump = np.zeros(2)
+    bump[i] = step
+    tol = 1e-12 * (1.0 + abs(base))
+    assert godunov_flux(ctx, x, p_minus + bump, p_plus) >= base - tol
+    assert godunov_flux(ctx, x, p_minus, p_plus + bump) <= base + tol
 
 
 @SETTINGS
@@ -139,3 +182,18 @@ def test_lyapunov_residual_on_hurwitz_matrices(n, seed, margin, lam):
     assert np.array_equal(p, p.T)
     # M PSD and A - (lam/2) I Hurwitz make P the PSD Gramian
     assert np.min(np.linalg.eigvalsh(p)) >= -1e-10 * max(1.0, np.linalg.norm(p))
+
+
+@SETTINGS
+@given(
+    st.integers(1, 6),
+    st.integers(1, 3),
+    seeds,
+    st.sampled_from([0.0, 0.05, 1.0]),
+    st.sampled_from([0.1, 1.0]),
+)
+def test_kleinman_are_residual_on_stable_systems(n, m, seed, lam, b_scale):
+    a, b = make_stable_system(n, m, seed, b_scale=b_scale)
+    prob = LqProblem(a=a, b=b, q=np.eye(n), r=np.eye(m), lam=lam, alpha=1.0)
+    sol = kleinman_iterate(prob)
+    assert are_residual(prob, sol.p) <= 1e-10 * (1.0 + np.linalg.norm(sol.p) ** 2)
