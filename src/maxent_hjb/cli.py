@@ -262,8 +262,8 @@ def run(config: ExperimentConfig) -> RunManifest:
     except Exception as exc:
         for path in produced:
             path.unlink(missing_ok=True)
-        if isinstance(exc, MaxEntError):
-            raise MaxEntError(f"{config.command} failed: {exc}") from exc
+        if isinstance(exc, MaxEntError):  # keep the subclass: main maps ConfigError to 2
+            exc.args = (f"{config.command} failed: {exc}",)
         raise
     duration = time.time() - started
     outputs = [
@@ -297,6 +297,11 @@ def _run_ham_sweep(config: ExperimentConfig, out: Path, produced: list):
         box = vdp_control_box()
     else:
         raise ConfigError(f"unknown model {p['model']!r}; valid: channel, vdp")
+    for key, vec in (("x", x), ("p", pvec)):
+        if vec.size != model.state_dim:
+            raise ConfigError(
+                f"{key} has length {vec.size}; the {p['model']} model needs {model.state_dim}"
+            )
     grid = build_grid(box, p["nodes"])
     sweep = laplace_gap(model, cost, x, pvec, alphas, grid)
     h0 = standard_hamiltonian(model, cost, x, pvec, grid)

@@ -2,10 +2,11 @@
 
 Serves as the grid-based cross-validation oracle for the grid-free solver:
 forward Euler in time with the dimension-by-dimension Godunov numerical
-Hamiltonian. Each 1-D extremization over the interval between one-sided
-gradients uses golden-section search, which is well posed because the soft
-Hamiltonian is convex in the costate (interior minima unique, maxima at the
-interval endpoints).
+Hamiltonian. The soft Hamiltonian is a log-sum-exp, smooth and strictly convex
+in the costate, so on a minimizing interval [lo, hi] the flux is H at
+clip(p*, lo, hi), where dH/dp_i(p*) = -E[f_i] = 0 (Osher & Shu 1991). p* is
+found by Newton with the kernel's own curvature Var[f_i]/alpha, safeguarded by
+a bisection bracket; maxima sit at the interval endpoints.
 
 The solver precomputes f(x_ij, u_q) and r(x_ij, u_q) for the static grid once,
 so a Hamiltonian evaluation during time stepping reduces to an exp/sum over
@@ -21,12 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import write_table
-from .errors import DegenerateCflError, DimensionMismatchError
-from .soft_hamiltonian import HamiltonianContext, _golden_min_batch, boltzmann_moments
+from .errors import DegenerateCflError, DimensionMismatchError, NoConvergenceError
+from .soft_hamiltonian import HamiltonianContext, boltzmann_moments
 
 _MAGIC = b"MEHJB2D\x00"
 _SPEED_REFRESH = 50
-GOLDEN_ITERS = 40
+NEWTON_TOL = 1e-13
+NEWTON_ITERS = 100
 
 
 @dataclass(frozen=True)
@@ -127,11 +129,16 @@ class _CachedHamiltonian:
         r = np.asarray(ctx.cost.running.eval(xs, us), dtype=float)
         self.r = np.broadcast_to(r, self.f.shape[:2]).copy()
 
-    def value(self, p_rows: np.ndarray, rows=None) -> np.ndarray:
+    def value(self, p_rows: np.ndarray, rows=None, coord=None):
+        """H at ``p_rows``; given a coordinate i, (H, dH/dp_i, d2H/dp_i^2) from
+        the same kernel pass (-E[f_i] and Var[f_i]/alpha)."""
         f = self.f if rows is None else self.f[rows]
         r = self.r if rows is None else self.r[rows]
         l_vals = np.einsum("...i,...ni->...n", p_rows, f) + r
-        return boltzmann_moments(l_vals, self.weights, self.alpha).value
+        if coord is None:
+            return boltzmann_moments(l_vals, self.weights, self.alpha).value
+        m = boltzmann_moments(l_vals, self.weights, self.alpha, f[..., coord : coord + 1], order=2)
+        return m.value, m.gradient[..., 0], m.hessian[..., 0, 0]
 
     def grad_norm(self, p_rows: np.ndarray) -> np.ndarray:
         l_vals = np.einsum("mi,mni->mn", p_rows, self.f) + self.r
@@ -139,18 +146,48 @@ class _CachedHamiltonian:
         return np.linalg.norm(grad, axis=1)
 
 
-def _godunov_extremize(value_fn, p_minus, p_plus, iters=GOLDEN_ITERS):
+def _newton_min(slope, lo, hi, start):
+    """Per-row argmin over [lo, hi] of a smooth convex function whose first and
+    second derivatives at v on rows idx are ``slope(v, idx)``. Rows with slope
+    >= 0 at lo (<= 0 at hi) stop there; the rest run Newton from ``start`` in a
+    bracket narrowed by the slope's sign, bisecting when the Newton point leaves
+    it or the curvature is not positive, until a step is <= NEWTON_TOL (1 + |v|).
+    """
+    every = np.arange(lo.size)
+    (d_lo, _), (d_hi, _) = slope(lo, every), slope(hi, every)
+    arg = np.where(d_lo >= 0.0, lo, np.where(d_hi <= 0.0, hi, start))
+    active = np.where((d_lo < 0.0) & (d_hi > 0.0))[0]
+    a, b, v = lo[active], hi[active], start[active]
+    for _ in range(NEWTON_ITERS):
+        if active.size == 0:
+            return arg
+        d, h = slope(v, active)
+        a, b = np.where(d < 0.0, v, a), np.where(d > 0.0, v, b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = v - d / h
+        v_next = np.where((h > 0.0) & (newton > a) & (newton < b), newton, 0.5 * (a + b))
+        step = np.fmin(np.abs(newton - v), np.abs(v_next - v))
+        done = step <= NEWTON_TOL * (1.0 + np.abs(v))
+        arg[active[done]] = v[done]
+        active, a, b, v = active[~done], a[~done], b[~done], v_next[~done]
+    if active.size:
+        raise NoConvergenceError(f"Godunov flux: {active.size} rows unconverged by Newton")
+    return arg
+
+
+def _godunov_extremize(value_fn, p_minus, p_plus):
     """Dimension-by-dimension Godunov extremization of H over gradient intervals.
 
-    ``value_fn(p_rows, rows)`` evaluates H at full costate rows (``rows`` is an
-    optional index subset). Coordinates are processed in order: extremized
+    ``value_fn(p_rows, rows, coord=None)`` evaluates H at full costate rows
+    (``rows`` is an optional index subset), with its p_coord-derivatives if
+    ``coord`` is given. Coordinates are processed in order: extremized
     coordinates stay at their optimizers, pending ones at interval midpoints.
-    Minimizing branches (p_minus[i] <= p_plus[i]) use golden-section; maximizing
+    Minimizing branches (p_minus[i] <= p_plus[i]) use ``_newton_min``; maximizing
     branches compare the endpoints (convexity puts maxima there).
     """
     p_minus = np.atleast_2d(np.asarray(p_minus, dtype=float))
     p_plus = np.atleast_2d(np.asarray(p_plus, dtype=float))
-    m_rows, n = p_minus.shape
+    n = p_minus.shape[1]
     p_work = 0.5 * (p_minus + p_plus)
     for i in range(n):
         pm = p_minus[:, i]
@@ -160,25 +197,17 @@ def _godunov_extremize(value_fn, p_minus, p_plus, iters=GOLDEN_ITERS):
         degenerate = hi - lo <= 0.0
         arg = np.where(degenerate, lo, p_work[:, i])
 
-        def coord_eval(vals, rows):
+        def coord_eval(vals, rows, coord=None):
             p_eval = (p_work if rows is None else p_work[rows]).copy()
             p_eval[:, i] = vals
-            return value_fn(p_eval, rows)
+            return value_fn(p_eval, rows, coord)
 
         search = (pm <= pp) & ~degenerate
         if np.any(search):
             rows = np.where(search)[0]
-            vals, args = _golden_min_batch(
-                lambda v, r=rows: coord_eval(v, r), lo[rows], hi[rows], iters
+            arg[rows] = _newton_min(
+                lambda v, idx: coord_eval(v, rows[idx], i)[1:], lo[rows], hi[rows], arg[rows]
             )
-            # endpoint minima (H affine or monotone in this coordinate) are hit
-            # exactly, removing golden-section termination noise
-            f_lo = coord_eval(lo[rows], rows)
-            f_hi = coord_eval(hi[rows], rows)
-            args = np.where(f_lo <= vals, lo[rows], args)
-            vals = np.minimum(f_lo, vals)
-            args = np.where(f_hi < vals, hi[rows], args)
-            arg[rows] = args
         maxi = (pm > pp) & ~degenerate
         if np.any(maxi):
             rows = np.where(maxi)[0]

@@ -183,6 +183,19 @@ class TestMainEntry:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_config_error_from_a_runner_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MAXENT_HJB_THREADS", "abc")
+        code = main(["hjb-compare", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: hjb-compare failed:")
+
+    def test_vdp_sweep_needs_planar_vectors(self, tmp_path, capsys):
+        code = main(["ham-sweep", "--model", "vdp", "--out", str(tmp_path / "a")])
+        assert code == 2
+        assert "x has length 1; the vdp model needs 2" in capsys.readouterr().err
+        args = ["--x", "0.5,-0.2", "--p", "1,1", "--nodes", "64", "--out", str(tmp_path / "b")]
+        assert main(["ham-sweep", "--model", "vdp", *args]) == 0
+
     def test_flag_mirroring(self, tmp_path):
         code = main(["ham-sweep", "--out", str(tmp_path), "--p", "2", "--nodes", "128"])
         assert code == 0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import maxent_hjb.godunov as godunov_module
 from maxent_hjb import (
     ControlBox,
     CostModel,
@@ -22,8 +23,8 @@ from maxent_hjb import (
     soft_hamiltonian_batch,
 )
 from maxent_hjb.benchmarks import vdp_plane_cost, vdp_plane_model
-from maxent_hjb.errors import DegenerateCflError, DimensionMismatchError
-from maxent_hjb.godunov import _CachedHamiltonian
+from maxent_hjb.errors import DegenerateCflError, DimensionMismatchError, NoConvergenceError
+from maxent_hjb.godunov import _CachedHamiltonian, _godunov_extremize
 
 
 def zero_cost_2d(alpha=1.0):
@@ -153,6 +154,18 @@ class TestGodunovFlux:
             )
         assert flux >= max(candidates) - 1e-9
 
+    def test_newton_cap_raises(self, vdp_ctx, monkeypatch):
+        # the VdP minimizer in p2 at x = (0.2, 0.4) lies inside (-1.5, 1.0),
+        # away from the midpoint where Newton starts, so one step is not enough
+        cached = _CachedHamiltonian(vdp_ctx, np.array([[0.2, 0.4]]))
+        pm = np.array([[0.3, -1.5]])
+        pp = np.array([[0.3, 1.0]])
+        _, p_star = _godunov_extremize(cached.value, pm, pp)
+        assert -1.5 < p_star[0, 1] < 1.0 and abs(p_star[0, 1] + 0.25) > 1e-3
+        monkeypatch.setattr(godunov_module, "NEWTON_ITERS", 1)
+        with pytest.raises(NoConvergenceError):
+            _godunov_extremize(cached.value, pm, pp)
+
 
 class TestGodunovSolve:
     def test_constant_hamiltonian_exact(self):
@@ -254,6 +267,23 @@ class TestGodunovSolve:
             bump = w.copy()
             bump[i, j] += 0.05
             assert np.min((step(bump) - base)[interior]) >= -1e-12
+
+    def test_kernel_rows_a_quarter_of_golden_search(self, vdp_ctx, monkeypatch):
+        # rows passed to the Boltzmann kernel over one 21^2 VdP solve; the
+        # 40-step golden-section search with its endpoint compares passed
+        # GOLDEN_SEARCH_ROWS (grad_norm's CFL rows included)
+        GOLDEN_SEARCH_ROWS = 265_427
+        rows = []
+
+        def counting(l_vals, *args, **kwargs):
+            rows.append(l_vals.shape[0])
+            return kernel(l_vals, *args, **kwargs)
+
+        kernel = godunov_module.boltzmann_moments
+        monkeypatch.setattr(godunov_module, "boltzmann_moments", counting)
+        g = Grid2D(-2.0, 2.0, -2.0, 2.0, 21, 21)
+        godunov_solve(vdp_ctx, vdp_ctx.cost.terminal, g, 0.1, cfl=0.5)
+        assert sum(rows) <= GOLDEN_SEARCH_ROWS / 4
 
     def test_cfl_stability_on_constant_terminal(self, vdp_ctx):
         # flat initial data: sup|W| grows at most linearly with slope sup|H(.,0)|

@@ -104,9 +104,9 @@ steps = st.floats(0.0, 1.0)
 @given(pair, pair, pair, st.integers(0, 1), steps, alphas)
 def test_godunov_flux_monotone(x, p_minus, p_plus, i, step, alpha):
     # Nondecreasing in each coordinate of p_minus, nonincreasing in each of
-    # p_plus. The golden search on a minimizing branch stops within
-    # 0.618^40 ~ 4e-9 of its interval; at an interior minimum that moves H by
-    # O(1e-17), so rounding in H sets the tolerance: 1e-12 * (1 + |H|).
+    # p_plus. Newton on a minimizing branch stops within 1e-13 (1 + |p|) of the
+    # minimizer; at an interior minimum that moves H by O(1e-26), so rounding
+    # in H sets the tolerance: 1e-12 * (1 + |H|).
     ctx = HamiltonianContext(model=MODEL, cost=COST, alpha=alpha, grid=GRID)
     base = godunov_flux(ctx, x, p_minus, p_plus)
     bump = np.zeros(2)
@@ -114,6 +114,56 @@ def test_godunov_flux_monotone(x, p_minus, p_plus, i, step, alpha):
     tol = 1e-12 * (1.0 + abs(base))
     assert godunov_flux(ctx, x, p_minus + bump, p_plus) >= base - tol
     assert godunov_flux(ctx, x, p_minus, p_plus + bump) <= base + tol
+
+
+def _minimizer_of_h_in_p2(x, p1, alpha):
+    # bisection on dH/dp2: for |x_i| <= 0.5 the VdP f2 changes sign over the
+    # control nodes, so H is coercive in p2 and its minimizer lies in (-50, 50)
+    lo, hi = -50.0, 50.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        rep = soft_hamiltonian(MODEL, COST, x, np.array([p1, mid]), alpha, GRID, want_gradient=True)
+        lo, hi = (mid, hi) if rep.gradient_p[1] < 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+near = st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)).map(np.array)
+kinds = st.sampled_from(["interior", "at_lo", "at_hi", "degenerate", "maximizing"])
+widths = st.floats(0.05, 2.0)
+
+
+@SETTINGS
+@given(near, st.floats(-2.0, 2.0), kinds, widths, widths, alphas)
+def test_godunov_flux_matches_dense_scan(x, p1, kind, a, b, alpha):
+    # p1 is held (a degenerate interval), so the flux is the min of H over
+    # [lo, hi] in p2, or over the reversed interval its max (at an endpoint).
+    # The interval is placed around the minimizer p* to make each case.
+    star = _minimizer_of_h_in_p2(x, p1, alpha)
+    lo, hi = {
+        "interior": (star - a, star + b),
+        "at_lo": (star + a, star + a + b),  # H increasing on the interval
+        "at_hi": (star - a - b, star - a),  # H decreasing on the interval
+        "degenerate": (star + a - b, star + a - b),
+        "maximizing": (star - a, star + b),
+    }[kind]
+    pm, pp = (hi, lo) if kind == "maximizing" else (lo, hi)
+    ctx = HamiltonianContext(model=MODEL, cost=COST, alpha=alpha, grid=GRID)
+    flux = godunov_flux(ctx, x, np.array([p1, pm]), np.array([p1, pp]))
+    scan = np.linspace(lo, hi, 10_001)
+    l_vals, f = _exponent(
+        MODEL, COST, np.tile(x, (scan.size, 1)), np.column_stack([np.full_like(scan, p1), scan]),
+        GRID.nodes,
+    )
+    vals = boltzmann_moments(l_vals, GRID.weights, alpha).value
+    rounding = 1e-12 * (1.0 + np.abs(vals).max())
+    if kind == "maximizing":
+        assert abs(flux - vals.max()) <= rounding
+        return
+    # the scan misses the minimum by at most max H'' (spacing)^2 / 8, and
+    # H'' = Var[f2]/alpha <= range(f2)^2 / (4 alpha)
+    curvature = np.ptp(f[..., 1], axis=-1).max() ** 2 / (4.0 * alpha)
+    resolution = curvature * ((hi - lo) / 10_000) ** 2 / 8.0
+    assert vals.min() - resolution - rounding <= flux <= vals.min() + rounding
 
 
 @SETTINGS
