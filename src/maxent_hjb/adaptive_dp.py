@@ -2,10 +2,13 @@
 
 Both learners integrate the identity satisfied by e^{-lam t} x'P_k x along the
 closed loop over windows [t_i, t_i + dt] and solve the stacked rows for
-(svec(P_k), vec(K_{k+1})) by least squares. The on-policy variant re-collects
-windows under the freshest gain every iteration; the off-policy variant
-collects once under the initial gain and reuses the same data matrices,
-rebuilding only the gain-dependent coefficient blocks and right-hand side.
+(svec(P_k), vec(K_{k+1})) by least squares. Both run through one
+policy-iteration loop that asks for the rows belonging to the current gain:
+the on-policy variant re-collects windows under the freshest gain every
+iteration; the off-policy variant collects once under the initial gain and
+reuses the same data matrices, rebuilding only the gain-dependent coefficient
+blocks and right-hand side. The collectors share one window quadrature and
+the solvers one rank-checked least-squares core.
 
 Exploration comes from the max-entropy policy itself: controls are sampled from
 N(-K x, alpha R^-1) at every integrator substep, and the sampled realization
@@ -22,12 +25,11 @@ import numpy as np
 
 from .dynamics import Trajectory, diverged, make_rng
 from .errors import (
-    DimensionMismatchError,
-    DivergedTrajectoryError,
-    RankDeficientError,
-    RankStallError,
+    DimensionMismatchError, DivergedTrajectoryError, RankDeficientError, RankStallError
 )
-from .lq import numerical_rank, quad_regressor, reduce_kron_columns, svec_size, svec_to_mat
+from .lq import (
+    numerical_rank, quad_regressor, reduce_kron_columns, spectral_abscissa, svec_size, svec_to_mat
+)
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,8 @@ class LearnerConfig:
             raise ValueError("need delta_t > 0 and n_sub >= 2")
         if self.alpha <= 0 or self.lam < 0 or self.eps_stop <= 0:
             raise ValueError("need alpha > 0, lam >= 0, eps_stop > 0")
+        if self.max_iters < 1:
+            raise ValueError("need max_iters >= 1")
 
     @property
     def substep(self) -> float:
@@ -162,28 +166,23 @@ class HiddenLqSystem:
     # harness-side diagnostics (not available to the learner logic)
 
     def closed_loop_abscissa(self, k_gain, lam) -> float:
-        mat = self._a - 0.5 * lam * np.eye(self.n) - self._b @ k_gain
-        return float(np.max(np.real(np.linalg.eigvals(mat))))
-
-    def hidden_matrices(self):
-        return self._a.copy(), self._b.copy()
+        return spectral_abscissa(self._a - 0.5 * lam * np.eye(self.n) - self._b @ k_gain)
 
 
 class _Stream:
     """Continuous simulation record: one substep per entry."""
 
-    def __init__(self, x0, m):
+    def __init__(self, x0):
         self.times = [0.0]
         self.states = [np.asarray(x0, dtype=float).copy()]
         self.controls = []
-        self.m = m
 
     def as_trajectory(self, seed) -> Trajectory:
-        controls = self.controls + [self.controls[-1]] if self.controls else [np.zeros(self.m)]
+        # a learner collects windows before it rolls out, so controls is never empty
         return Trajectory(
             times=np.asarray(self.times),
             states=np.asarray(self.states),
-            controls=np.asarray(controls),
+            controls=np.asarray(self.controls + self.controls[-1:]),
             seed=seed,
         )
 
@@ -213,6 +212,33 @@ def _euler_steps(system, stream, k_gain, h, noise=None, count=-1, t_end=math.inf
         controls.append(u)
 
 
+def _window_integrals(times, states, controls, lam, running, held):
+    """The quadrature both collectors share, over one window's samples.
+
+    Returns the endpoint difference of e^{-lam t} s(x), the integral of
+    e^{-lam s} running(x) and the integral of e^{-lam s} kron(x, held(x, u)).
+    Controls are zero-order held: controls[j] acts on [t_j, t_{j+1}), so the
+    control-carrying integrand pairs the held u_j with the midpoint state of
+    its interval (a trapezoid on the raw samples would pair u_{j+1} with the
+    interval where u_j acted, burying the regressor under sampling noise).
+    The state-only integrand uses the plain trapezoid rule.
+    """
+    times = np.asarray(times, dtype=float)
+    states = np.asarray(states, dtype=float)
+    controls = np.asarray(controls, dtype=float)
+    if not (len(times) == len(states) == len(controls)) or len(times) < 2:
+        raise DimensionMismatchError("window samples are misaligned")
+    w = np.exp(-lam * times)
+    endpoint = quad_regressor(states[-1]) * w[-1] - quad_regressor(states[0]) * w[0]
+    x_mid = 0.5 * (states[:-1] + states[1:])
+    w_hold = np.diff(times) * np.exp(-lam * 0.5 * (times[:-1] + times[1:]))
+    v_held = held(x_mid, controls[:-1])
+    kron_rows = np.einsum("ti,tj->tij", x_mid, v_held).reshape(len(w_hold), -1)
+    r_vals = running(states)
+    state_int = np.trapezoid(w.reshape(w.shape + (1,) * (r_vals.ndim - 1)) * r_vals, times, axis=0)
+    return endpoint, state_int, np.sum(w_hold[:, None] * kron_rows, axis=0)
+
+
 def collect_onpolicy_window(times, states, controls, k_gain, q_mat, r_mat, lam):
     """One (theta, xi) row from a window's samples.
 
@@ -221,91 +247,54 @@ def collect_onpolicy_window(times, states, controls, k_gain, q_mat, r_mat, lam):
     xi    = -integral of e^{-lam s} x'(Q + K'RK)x
 
     The sampled control realization u(s) + K x(s) realizes the exploration
-    measure's mean. Controls are zero-order held: controls[j] acts on
-    [t_j, t_{j+1}), so control-carrying integrands use per-substep midpoints in
-    x with the held u_j (a trapezoid on the raw samples would pair u_{j+1} with
-    the interval where u_j acted, burying the regressor under sampling noise).
-    State-only integrands use the plain trapezoid rule.
+    measure's mean.
     """
-    times = np.asarray(times, dtype=float)
-    states = np.asarray(states, dtype=float)
-    controls = np.asarray(controls, dtype=float)
     k_gain = np.asarray(k_gain, dtype=float)
-    q_mat = np.asarray(q_mat, dtype=float)
     r_mat = np.asarray(r_mat, dtype=float)
-    if not (len(times) == len(states) == len(controls)) or len(times) < 2:
-        raise DimensionMismatchError("window samples are misaligned")
-    w = np.exp(-lam * times)
-    endpoint = quad_regressor(states[-1]) * w[-1] - quad_regressor(states[0]) * w[0]
-
-    dt_sub = np.diff(times)
-    x_mid = 0.5 * (states[:-1] + states[1:])
-    w_mid = np.exp(-lam * 0.5 * (times[:-1] + times[1:]))
-    u_held = controls[:-1]
-    eps = u_held + x_mid @ k_gain.T  # u + Kx on each hold interval
-    r_eps = eps @ r_mat.T
-    kron_rows = np.einsum("ti,tj->tij", x_mid, r_eps).reshape(len(dt_sub), -1)
-    gain_block = -2.0 * np.sum((dt_sub * w_mid)[:, None] * kron_rows, axis=0)
-
-    qk = q_mat + k_gain.T @ r_mat @ k_gain
-    quad = np.einsum("ti,ij,tj->t", states, qk, states)
-    xi = -float(np.trapezoid(w * quad, times))
-    return np.concatenate([endpoint, gain_block]), xi
+    qk = np.asarray(q_mat, dtype=float) + k_gain.T @ r_mat @ k_gain
+    endpoint, cost_int, gain_int = _window_integrals(
+        times, states, controls, lam,
+        lambda x: np.einsum("ti,ij,tj->t", x, qk, x),
+        lambda x, u: (u + x @ k_gain.T) @ r_mat.T,
+    )
+    return np.concatenate([endpoint, -2.0 * gain_int]), -float(cost_int)
 
 
 def collect_offpolicy_window(times, states, controls, lam):
-    """One (delta, i1, i2) row triple from a window's samples.
+    """One (delta, i1, i2) row triple from a window's samples: the endpoint
+    difference, the integral of kron(x, x) and the held integral of kron(x, u),
+    all discounted by e^{-lam s}."""
+    return _window_integrals(
+        times, states, controls, lam,
+        lambda x: np.einsum("ti,tj->tij", x, x).reshape(len(x), -1),
+        lambda x, u: u,
+    )
 
-    As in the on-policy collector, the control integral i2 respects the
-    zero-order hold (u_j paired with the midpoint state of its interval);
-    the state-only integral i1 uses the trapezoid rule.
-    """
-    times = np.asarray(times, dtype=float)
-    states = np.asarray(states, dtype=float)
-    controls = np.asarray(controls, dtype=float)
-    if not (len(times) == len(states) == len(controls)) or len(times) < 2:
-        raise DimensionMismatchError("window samples are misaligned")
-    w = np.exp(-lam * times)
-    delta = quad_regressor(states[-1]) * w[-1] - quad_regressor(states[0]) * w[0]
-    xx = np.einsum("ti,tj->tij", states, states).reshape(len(times), -1)
-    i1 = np.trapezoid(w[:, None] * xx, times, axis=0)
-    dt_sub = np.diff(times)
-    x_mid = 0.5 * (states[:-1] + states[1:])
-    w_mid = np.exp(-lam * 0.5 * (times[:-1] + times[1:]))
-    xu = np.einsum("ti,tj->tij", x_mid, controls[:-1]).reshape(len(dt_sub), -1)
-    i2 = np.sum((dt_sub * w_mid)[:, None] * xu, axis=0)
-    return delta, i1, i2
+
+def _solve_pk(rows, coeff, rhs, rank_tol):
+    """Rank-checked least squares coeff [svec(P); vec(K)] = rhs, split into (P, K)."""
+    n_p = svec_size(rows.n)
+    needed = n_p + rows.m * rows.n
+    rank = numerical_rank(rows.regressors, rank_tol)
+    if rank < needed:
+        raise RankDeficientError(rank, needed)
+    sol, *_ = np.linalg.lstsq(coeff, rhs, rcond=None)
+    p = svec_to_mat(sol[:n_p], rows.n)
+    return p, sol[n_p:].reshape(rows.n, rows.m).T  # vec is column-major
 
 
 def solve_onpolicy(rows: OnPolicyRows, rank_tol: float = 1e-12):
     """Least-squares solve of theta [svec(P); vec(K)] = xi."""
-    needed = svec_size(rows.n) + rows.m * rows.n
-    rank = numerical_rank(rows.regressors, rank_tol)
-    if rank < needed:
-        raise RankDeficientError(rank, needed)
-    sol, *_ = np.linalg.lstsq(rows.theta, rows.xi, rcond=None)
-    p = svec_to_mat(sol[: svec_size(rows.n)], rows.n)
-    k = sol[svec_size(rows.n) :].reshape(rows.n, rows.m).T  # vec is column-major
-    return p, k
+    return _solve_pk(rows, rows.theta, rows.xi, rank_tol)
 
 
 def solve_offpolicy(rows: OffPolicyRows, k_gain, q_mat, r_mat, rank_tol: float = 1e-12):
     """Rebuild the gain-dependent blocks for K_k and solve for (P_k, K_{k+1})."""
-    n, m = rows.n, rows.m
-    needed = svec_size(n) + m * n
-    rank = numerical_rank(rows.regressors, rank_tol)
-    if rank < needed:
-        raise RankDeficientError(rank, needed)
-    gain_block = -2.0 * (
-        rows.i1 @ np.kron(np.eye(n), k_gain.T @ r_mat) + rows.i2 @ np.kron(np.eye(n), r_mat)
-    )
-    coeff = np.hstack([rows.delta, gain_block])
+    eye = np.eye(rows.n)
+    gain_block = -2.0 * (rows.i1 @ np.kron(eye, k_gain.T @ r_mat) + rows.i2 @ np.kron(eye, r_mat))
     qk = q_mat + k_gain.T @ r_mat @ k_gain
     rhs = -rows.i1 @ qk.flatten(order="F")
-    sol, *_ = np.linalg.lstsq(coeff, rhs, rcond=None)
-    p = svec_to_mat(sol[: svec_size(n)], n)
-    k = sol[svec_size(n) :].reshape(n, m).T
-    return p, k
+    return _solve_pk(rows, np.hstack([rows.delta, gain_block]), rhs, rank_tol)
 
 
 def sinusoidal_baseline(a: float, omega_bar: float, n_terms: int, seed: int, channels: int = 1):
@@ -340,13 +329,12 @@ def settling_time(traj: Trajectory, band: float) -> float:
     return float(traj.times[last + 1])
 
 
-def _running_cost_increment(system, states, controls, times, lam):
-    q_mat, r_mat = system.q, system.r
+def _running_cost_increment(system, traj, lam):
     vals = 0.5 * (
-        np.einsum("ti,ij,tj->t", states, q_mat, states)
-        + np.einsum("ti,ij,tj->t", controls, r_mat, controls)
+        np.einsum("ti,ij,tj->t", traj.states, system.q, traj.states)
+        + np.einsum("ti,ij,tj->t", traj.controls, system.r, traj.controls)
     )
-    return float(np.trapezoid(np.exp(-lam * times) * vals, times))
+    return float(np.trapezoid(np.exp(-lam * traj.times) * vals, traj.times))
 
 
 def _start_stream(system, k0, config, x0, explore):
@@ -361,7 +349,7 @@ def _start_stream(system, k0, config, x0, explore):
         return chol_sigma @ rng.standard_normal(system.m)
 
     x0 = np.ones(system.n) if x0 is None else np.asarray(x0, dtype=float)
-    stream = _Stream(x0, system.m)
+    stream = _Stream(x0)
     return np.asarray(k0, dtype=float).copy(), gaussian if explore is None else explore, stream
 
 
@@ -397,9 +385,53 @@ def _collect_until_rank(system, stream, k_gain, noise, config, collect, stack):
         if rank_at is not None and windows >= rank_at + config.extra_windows:
             return stacked(), rank_at
         if windows > budget:
-            raise RankStallError(
-                f"rank condition unmet after {windows} windows (budget {budget})"
-            )
+            raise RankStallError(f"rank condition unmet after {windows} windows (budget {budget})")
+
+
+def _policy_iteration(system, stream, k_gain, config, rows_for_gain, solve):
+    """The policy-iteration loop shared by both learners.
+
+    Each iteration takes ``rows_for_gain(K_k)`` -> (rows, rank_at), where
+    rank_at is the window count at which newly collected rows reached full
+    rank, or None when no windows were collected for this iteration. Then
+    ``solve(rows, K_k)`` gives (P_k, K_{k+1}). Stops once successive P iterates
+    settle below eps_stop or after max_iters, then rolls the final gain out to
+    eval_horizon under the mean control u = -Kx.
+    """
+    iterates = []
+    samples_per_iter = []
+    rank_counts = []
+    converged = False
+    p_prev = None
+    for _ in range(config.max_iters):
+        rows, rank_at = rows_for_gain(k_gain)
+        p_k, k_gain = solve(rows, k_gain)
+        iterates.append((p_k, k_gain))
+        if rank_at is None:
+            samples_per_iter.append(0)
+        else:
+            samples_per_iter.append(rows.windows_used)
+            rank_counts.append(rank_at)
+        if p_prev is not None and np.linalg.norm(p_k - p_prev) < config.eps_stop:
+            converged = True
+            break
+        p_prev = p_k
+    _euler_steps(system, stream, k_gain, config.substep, t_end=config.eval_horizon - 1e-12)
+    traj = stream.as_trajectory(config.seed)
+    total_samples = int(sum(samples_per_iter))
+    return LearnerReport(
+        iterates=iterates,
+        samples_per_iter=samples_per_iter,
+        total_samples=total_samples,
+        learning_time=total_samples * config.delta_t,
+        settling_time=settling_time(traj, config.settle_band),
+        total_running_cost=_running_cost_increment(system, traj, config.lam),
+        converged=converged,
+        rank_counts=rank_counts,
+        p_final=iterates[-1][0],
+        k_final=k_gain,
+        trajectory=traj,
+    )
 
 
 def run_onpolicy(
@@ -416,32 +448,18 @@ def run_onpolicy(
     ``explore`` switches Gaussian exploration off in favor of a deterministic
     additive signal (the sinusoidal comparison baseline).
     """
-    n, m = system.n, system.m
     k_gain, noise, stream = _start_stream(system, k0, config, x0, explore)
-    iterates = []
-    samples_per_iter = []
-    rank_counts = []
-    converged = False
-    p_prev = None
-    for _ in range(config.max_iters):
-        rows, rank_at = _collect_until_rank(
-            system, stream, k_gain, noise, config,
-            lambda times, states, controls: collect_onpolicy_window(
-                times, states, controls, k_gain, system.q, system.r, config.lam
-            ),
-            lambda theta, xi: OnPolicyRows(theta=theta, xi=xi, n=n, m=m),
+
+    def rows_for_gain(k):
+        return _collect_until_rank(
+            system, stream, k, noise, config,
+            lambda *window: collect_onpolicy_window(*window, k, system.q, system.r, config.lam),
+            lambda theta, xi: OnPolicyRows(theta=theta, xi=xi, n=system.n, m=system.m),
         )
-        p_k, k_next = solve_onpolicy(rows, config.rank_tol)
-        iterates.append((p_k, k_next))
-        samples_per_iter.append(rows.windows_used)
-        rank_counts.append(rank_at)
-        k_gain = k_next
-        if p_prev is not None and np.linalg.norm(p_k - p_prev) < config.eps_stop:
-            converged = True
-            break
-        p_prev = p_k
-    return _finalize_report(
-        system, stream, k_gain, config, iterates, samples_per_iter, converged, rank_counts
+
+    return _policy_iteration(
+        system, stream, k_gain, config, rows_for_gain,
+        lambda rows, k: solve_onpolicy(rows, config.rank_tol),
     )
 
 
@@ -457,49 +475,12 @@ def run_offpolicy(
     k_gain, noise, stream = _start_stream(system, k0, config, x0, explore)
     rows, rank_at = _collect_until_rank(
         system, stream, k_gain, noise, config,
-        lambda times, states, controls: collect_offpolicy_window(
-            times, states, controls, config.lam
-        ),
+        lambda *window: collect_offpolicy_window(*window, config.lam),
         lambda delta, i1, i2: OffPolicyRows(delta=delta, i1=i1, i2=i2, n=system.n, m=system.m),
     )
-    iterates = []
-    converged = False
-    p_prev = None
-    k_iter = k_gain
-    for _ in range(config.max_iters):
-        p_k, k_next = solve_offpolicy(rows, k_iter, system.q, system.r, config.rank_tol)
-        iterates.append((p_k, k_next))
-        k_iter = k_next
-        if p_prev is not None and np.linalg.norm(p_k - p_prev) < config.eps_stop:
-            converged = True
-            break
-        p_prev = p_k
-    samples_per_iter = [rows.windows_used] + [0] * (len(iterates) - 1)
-    return _finalize_report(
-        system, stream, k_iter, config, iterates, samples_per_iter, converged, [rank_at]
-    )
-
-
-def _finalize_report(
-    system, stream, k_gain, config, iterates, samples_per_iter, converged, rank_counts
-):
-    # the evaluation rollout runs under the mean control u = -Kx
-    _euler_steps(system, stream, k_gain, config.substep, t_end=config.eval_horizon - 1e-12)
-    traj = stream.as_trajectory(config.seed)
-    total_cost = _running_cost_increment(
-        system, traj.states, traj.controls, traj.times, config.lam
-    )
-    total_samples = int(sum(samples_per_iter))
-    return LearnerReport(
-        iterates=iterates,
-        samples_per_iter=samples_per_iter,
-        total_samples=total_samples,
-        learning_time=total_samples * config.delta_t,
-        settling_time=settling_time(traj, config.settle_band),
-        total_running_cost=total_cost,
-        converged=converged,
-        rank_counts=rank_counts,
-        p_final=iterates[-1][0] if iterates else None,
-        k_final=k_gain,
-        trajectory=traj,
+    fresh = [(rows, rank_at)]  # the first iteration reports the collection
+    return _policy_iteration(
+        system, stream, k_gain, config,
+        lambda k: fresh.pop() if fresh else (rows, None),
+        lambda rows, k: solve_offpolicy(rows, k, system.q, system.r, config.rank_tol),
     )

@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .adaptive_dp import HiddenLqSystem, LearnerConfig, run_offpolicy, run_onpolicy
 from .benchmarks import (
+    FIXTURE_SPECS,
     analytic_linear_channel_hamiltonian,
     linear_channel_model,
     load_fixture,
@@ -108,14 +109,53 @@ SCHEMAS: dict = {
 }
 SCHEMAS["lq-offpolicy"] = dict(SCHEMAS["lq-onpolicy"])
 
+
+def _numbers(raw: str):
+    """The floats of a comma-separated list, or None if a token is not one."""
+    try:
+        return [float(tok) for tok in raw.split(",") if tok.strip() != ""]
+    except ValueError:
+        return None
+
+
+def _check_alphas(raw: str):
+    vals = _numbers(raw)
+    if vals and len(set(vals)) == len(vals) and all(a > 0 for a in vals):
+        return True
+    return "alphas must be distinct numbers > 0, comma-separated"
+
+
 _VALIDATORS = {
+    "alphas": _check_alphas,
+    "x": lambda v: _numbers(v) is not None or "x must be comma-separated numbers",
+    "p": lambda v: _numbers(v) is not None or "p must be comma-separated numbers",
     "alpha": lambda v: v > 0 or "alpha must be > 0",
     "t": lambda v: v > 0 or "t must be > 0",
     "grid_n": lambda v: v >= 8 or "grid_n must be >= 8",
+    "domain": lambda v: v > 0 or "domain must be > 0",
     "nodes": lambda v: v >= 4 or "nodes must be >= 4",
     "cfl": lambda v: 0 < v <= 0.9 or "cfl must be in (0, 0.9]",
+    "ode_step": lambda v: v > 0 or "ode_step must be > 0",
+    "n_starts": lambda v: v >= 1 or "n_starts must be >= 1",
+    "start_radius": lambda v: v > 0 or "start_radius must be > 0",
+    "simplex_iters": lambda v: v >= 1 or "simplex_iters must be >= 1",
+    "warm_iters": lambda v: v >= 1 or "warm_iters must be >= 1",
+    "n_random": lambda v: v >= 0 or "n_random must be >= 0",
+    "n_bands": lambda v: v >= 1 or "n_bands must be >= 1",
+    "total_t": lambda v: v > 0 or "total_t must be > 0",
+    "window_t": lambda v: v > 0 or "window_t must be > 0",
+    "dt": lambda v: v > 0 or "dt must be > 0",
+    "replan_every": lambda v: v >= 1 or "replan_every must be >= 1",
+    "fixture": lambda v: v in FIXTURE_SPECS or "fixture must be one of " + ", ".join(FIXTURE_SPECS),
+    "lam": lambda v: v >= 0 or "lam must be >= 0",
+    "tol": lambda v: v > 0 or "tol must be > 0",
     "delta_t": lambda v: v > 0 or "delta_t must be > 0",
+    "n_sub": lambda v: v >= 2 or "n_sub must be >= 2",
     "eps_stop": lambda v: v > 0 or "eps_stop must be > 0",
+    "max_iters": lambda v: v >= 1 or "max_iters must be >= 1",
+    "extra_windows": lambda v: v >= 0 or "extra_windows must be >= 0",
+    "eval_horizon": lambda v: v >= 0 or "eval_horizon must be >= 0",
+    "settle_band": lambda v: v > 0 or "settle_band must be > 0",
 }
 
 
@@ -209,7 +249,7 @@ def parse_config(
             where = f"{path}:{lineno}"
             if section is None:
                 if key == "seed":
-                    seed = int(raw)
+                    seed = raw
                 elif key == "out":
                     output_dir = raw
                 else:
@@ -222,12 +262,18 @@ def parse_config(
             params[key] = _coerce(command, key, raw, where)
     for key, raw in (overrides or {}).items():
         if key == "seed":
-            seed = int(raw)
+            seed = raw
         elif key == "out":
             output_dir = raw
         else:
             params[key] = _coerce(command, key, str(raw), "flag")
-    return ExperimentConfig(command=command, seed=int(seed), output_dir=Path(output_dir), params=params)
+    try:
+        seed = int(seed)
+    except ValueError as exc:
+        raise ConfigError(f"seed must be an integer, got {seed!r}") from exc
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return ExperimentConfig(command=command, seed=seed, output_dir=Path(output_dir), params=params)
 
 
 def _write_json(path, payload):
@@ -240,7 +286,7 @@ def _write_csv(path, header, rows):
 
 
 def _parse_vector(raw: str) -> np.ndarray:
-    return np.array([float(tok) for tok in raw.split(",") if tok.strip() != ""])
+    return np.array(_numbers(raw))
 
 
 def run(config: ExperimentConfig) -> RunManifest:
@@ -284,7 +330,7 @@ def run(config: ExperimentConfig) -> RunManifest:
 
 def _run_ham_sweep(config: ExperimentConfig, out: Path, produced: list):
     p = config.params
-    alphas = sorted((float(tok) for tok in p["alphas"].split(",")), reverse=True)
+    alphas = sorted(_numbers(p["alphas"]), reverse=True)
     x = _parse_vector(p["x"])
     pvec = _parse_vector(p["p"])
     if p["model"] == "channel":
@@ -379,6 +425,9 @@ def _run_hjb_compare(config: ExperimentConfig, out: Path, produced: list):
 
 def _run_vdp_control(config: ExperimentConfig, out: Path, produced: list):
     p = config.params
+    ratio = p["total_t"] / p["window_t"]
+    if abs(ratio - round(ratio)) > 1e-9:
+        raise ConfigError(f"window_t {p['window_t']} does not divide total_t {p['total_t']}")
     model = vdp4_model()
     cost = vdp4_cost(alpha=p["alpha"], horizon=p["window_t"])
     grid_q = build_grid(vdp_control_box(), p["nodes"])

@@ -129,16 +129,16 @@ class _CachedHamiltonian:
         r = np.asarray(ctx.cost.running.eval(xs, us), dtype=float)
         self.r = np.broadcast_to(r, self.f.shape[:2]).copy()
 
-    def value(self, p_rows: np.ndarray, rows=None, coord=None):
-        """H at ``p_rows``; given a coordinate i, (H, dH/dp_i, d2H/dp_i^2) from
-        the same kernel pass (-E[f_i] and Var[f_i]/alpha)."""
+    def value(self, p_rows: np.ndarray, rows=None, coord=None, order=0):
+        """H at ``p_rows``; at ``order`` >= 1, (H, dH/dp_i, d2H/dp_i^2 or None below
+        order 2) for i = ``coord``, from one kernel pass (-E[f_i], Var[f_i]/alpha)."""
         f = self.f if rows is None else self.f[rows]
         r = self.r if rows is None else self.r[rows]
         l_vals = np.einsum("...i,...ni->...n", p_rows, f) + r
-        if coord is None:
+        if order == 0:
             return boltzmann_moments(l_vals, self.weights, self.alpha).value
-        m = boltzmann_moments(l_vals, self.weights, self.alpha, f[..., coord : coord + 1], order=2)
-        return m.value, m.gradient[..., 0], m.hessian[..., 0, 0]
+        m = boltzmann_moments(l_vals, self.weights, self.alpha, f[..., coord : coord + 1], order)
+        return m.value, m.gradient[..., 0], None if order == 1 else m.hessian[..., 0, 0]
 
     def grad_norm(self, p_rows: np.ndarray) -> np.ndarray:
         l_vals = np.einsum("mi,mni->mn", p_rows, self.f) + self.r
@@ -146,22 +146,22 @@ class _CachedHamiltonian:
         return np.linalg.norm(grad, axis=1)
 
 
-def _newton_min(slope, lo, hi, start):
-    """Per-row argmin over [lo, hi] of a smooth convex function whose first and
-    second derivatives at v on rows idx are ``slope(v, idx)``. Rows with slope
-    >= 0 at lo (<= 0 at hi) stop there; the rest run Newton from ``start`` in a
-    bracket narrowed by the slope's sign, bisecting when the Newton point leaves
+def _newton_min(derivs, lo, hi, start):
+    """Per-row argmin over [lo, hi] of a smooth convex function whose (value, slope,
+    curvature) at v on rows idx are ``derivs(v, idx, order)``. Rows with slope >= 0
+    at lo (<= 0 at hi), read at order 1, stop there; the rest run Newton from ``start``
+    in a bracket narrowed by the slope's sign, bisecting when the Newton point leaves
     it or the curvature is not positive, until a step is <= NEWTON_TOL (1 + |v|).
     """
     every = np.arange(lo.size)
-    (d_lo, _), (d_hi, _) = slope(lo, every), slope(hi, every)
+    (_, d_lo, _), (_, d_hi, _) = derivs(lo, every, 1), derivs(hi, every, 1)
     arg = np.where(d_lo >= 0.0, lo, np.where(d_hi <= 0.0, hi, start))
     active = np.where((d_lo < 0.0) & (d_hi > 0.0))[0]
     a, b, v = lo[active], hi[active], start[active]
     for _ in range(NEWTON_ITERS):
         if active.size == 0:
             return arg
-        d, h = slope(v, active)
+        _, d, h = derivs(v, active, 2)
         a, b = np.where(d < 0.0, v, a), np.where(d > 0.0, v, b)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = v - d / h
@@ -178,9 +178,9 @@ def _newton_min(slope, lo, hi, start):
 def _godunov_extremize(value_fn, p_minus, p_plus):
     """Dimension-by-dimension Godunov extremization of H over gradient intervals.
 
-    ``value_fn(p_rows, rows, coord=None)`` evaluates H at full costate rows
-    (``rows`` is an optional index subset), with its p_coord-derivatives if
-    ``coord`` is given. Coordinates are processed in order: extremized
+    ``value_fn(p_rows, rows, coord=None, order=0)`` evaluates H at full costate
+    rows (``rows`` is an optional index subset), with its p_coord-derivatives
+    up to ``order``. Coordinates are processed in order: extremized
     coordinates stay at their optimizers, pending ones at interval midpoints.
     Minimizing branches (p_minus[i] <= p_plus[i]) use ``_newton_min``; maximizing
     branches compare the endpoints (convexity puts maxima there).
@@ -197,16 +197,16 @@ def _godunov_extremize(value_fn, p_minus, p_plus):
         degenerate = hi - lo <= 0.0
         arg = np.where(degenerate, lo, p_work[:, i])
 
-        def coord_eval(vals, rows, coord=None):
+        def coord_eval(vals, rows, order=0):
             p_eval = (p_work if rows is None else p_work[rows]).copy()
             p_eval[:, i] = vals
-            return value_fn(p_eval, rows, coord)
+            return value_fn(p_eval, rows, i, order)
 
         search = (pm <= pp) & ~degenerate
         if np.any(search):
             rows = np.where(search)[0]
             arg[rows] = _newton_min(
-                lambda v, idx: coord_eval(v, rows[idx], i)[1:], lo[rows], hi[rows], arg[rows]
+                lambda v, idx, order: coord_eval(v, rows[idx], order), lo[rows], hi[rows], arg[rows]
             )
         maxi = (pm > pp) & ~degenerate
         if np.any(maxi):

@@ -43,37 +43,31 @@ def svec_index_pairs(n: int):
 
 
 def svec(mat: np.ndarray) -> np.ndarray:
-    n = mat.shape[0]
-    return np.array([mat[i, j] for i, j in svec_index_pairs(n)])
+    return mat[np.triu_indices(mat.shape[0])]
 
 
 def svec_to_mat(v: np.ndarray, n: int) -> np.ndarray:
+    rows, cols = np.triu_indices(n)
     out = np.zeros((n, n))
-    for k, (i, j) in enumerate(svec_index_pairs(n)):
-        out[i, j] = v[k]
-        out[j, i] = v[k]
+    out[rows, cols] = v
+    out[cols, rows] = v
     return out
 
 
 def quad_regressor(x: np.ndarray) -> np.ndarray:
     """s(x) with s(x) . svec(P) = x'Px: x_i^2 diagonal, 2 x_i x_j off-diagonal."""
     x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    cols = []
-    for i, j in svec_index_pairs(n):
-        cols.append(x[..., i] * x[..., j] * (1.0 if i == j else 2.0))
-    return np.stack(cols, axis=-1)
+    rows, cols = np.triu_indices(x.shape[-1])
+    return x[..., rows] * x[..., cols] * np.where(rows == cols, 1.0, 2.0)
 
 
 def reduce_kron_columns(mat: np.ndarray, n: int) -> np.ndarray:
     """Merge the (i,j)/(j,i) columns of an (l, n^2) Kronecker block to svec form."""
-    cols = []
-    for i, j in svec_index_pairs(n):
-        if i == j:
-            cols.append(mat[:, i * n + i])
-        else:
-            cols.append(mat[:, i * n + j] + mat[:, j * n + i])
-    return np.stack(cols, axis=-1)
+    rows, cols = np.triu_indices(n)
+    out = mat[:, rows * n + cols]
+    off = rows != cols
+    out[:, off] += mat[:, cols[off] * n + rows[off]]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +186,12 @@ def solve_lyapunov(a_cl: np.ndarray, lam: float, m_rhs: np.ndarray) -> np.ndarra
         raise NotHurwitzError(
             f"A_cl - (lam/2)I has spectral abscissa {abscissa:.3e} >= 0"
         )
-    pairs = svec_index_pairs(n)
-    dim = len(pairs)
-    op = np.empty((dim, dim))
-    for col, (i, j) in enumerate(pairs):
-        basis = np.zeros((n, n))
-        basis[i, j] = 1.0
-        basis[j, i] = 1.0
-        image = a_cl.T @ basis + basis @ a_cl - lam * basis
-        op[:, col] = svec(image)
+    rows, cols = np.triu_indices(n)
+    basis = np.zeros((rows.size, n, n))  # one symmetric unit matrix per svec entry
+    basis[np.arange(rows.size), rows, cols] = 1.0
+    basis[np.arange(rows.size), cols, rows] = 1.0
+    images = a_cl.T @ basis + basis @ a_cl - lam * basis
+    op = images[:, rows, cols].T
     try:
         sol = np.linalg.solve(op, -svec(m_rhs))
     except np.linalg.LinAlgError as exc:

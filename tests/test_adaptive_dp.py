@@ -328,6 +328,31 @@ class TestRunOnPolicy:
             )
 
 
+class TestReportShape:
+    def test_onpolicy_counts_every_iteration(self, fixture_system):
+        rep = run_onpolicy(fixture_system, np.zeros((2, 3)), default_config(seed=5))
+        assert len(rep.samples_per_iter) == len(rep.rank_counts) == len(rep.iterates) >= 2
+        # with extra_windows 0 each iteration stops at the window where rank held
+        assert rep.samples_per_iter == rep.rank_counts
+        assert all(s >= svec_size(3) + 6 for s in rep.samples_per_iter)
+        assert rep.total_samples == sum(rep.samples_per_iter)
+        assert rep.p_final is rep.iterates[-1][0]
+        assert np.array_equal(rep.k_final, rep.iterates[-1][1])
+
+    def test_offpolicy_collects_once(self, fixture_system):
+        rep = run_offpolicy(fixture_system, np.zeros((2, 3)), default_config(seed=5))
+        windows = rep.samples_per_iter[0]
+        assert len(rep.iterates) >= 2
+        assert rep.samples_per_iter == [windows] + [0] * (len(rep.iterates) - 1)
+        assert rep.rank_counts == [windows] and windows == rep.total_samples
+        assert rep.p_final is rep.iterates[-1][0]
+        assert np.array_equal(rep.k_final, rep.iterates[-1][1])
+
+    def test_max_iters_below_one_rejected(self):
+        with pytest.raises(ValueError, match="max_iters"):
+            default_config(max_iters=0)
+
+
 class TestRunOffPolicy:
     def test_fixture_recovery_and_sample_ordering(self, fixture_system, fixture_oracle):
         k0 = np.zeros((2, 3))

@@ -189,6 +189,32 @@ class TestMainEntry:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: hjb-compare failed:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hjb-compare", "--ode_step", "0"],
+            ["hjb-compare", "--domain", "-1"],
+            ["hjb-compare", "--n_random", "-1"],
+            ["hjb-compare", "--simplex_iters", "-3"],
+            ["lq-onpolicy", "--n_sub", "1"],
+            ["lq-onpolicy", "--lam", "-1"],
+            ["lq-onpolicy", "--max_iters", "0"],
+            ["lq-offpolicy", "--max_iters", "0"],
+            ["vdp-control", "--window_t", "0"],
+            ["vdp-control", "--window_t", "3", "--total_t", "10"],
+            ["vdp-control", "--replan_every", "0"],
+            ["ham-sweep", "--alphas", "1,-1"],
+            ["ham-sweep", "--alphas", "1,x"],
+            ["lq-exact", "--fixture", "foo"],
+            ["lq-onpolicy", "--seed", "-1"],
+        ],
+    )
+    def test_out_of_range_value_exits_two(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_vdp_sweep_needs_planar_vectors(self, tmp_path, capsys):
         code = main(["ham-sweep", "--model", "vdp", "--out", str(tmp_path / "a")])
         assert code == 2

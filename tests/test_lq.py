@@ -21,7 +21,14 @@ from maxent_hjb import (
     solve_lyapunov,
 )
 from maxent_hjb.errors import NotHurwitzError
-from maxent_hjb.lq import quad_regressor, reduce_kron_columns, spectral_abscissa, svec, svec_to_mat
+from maxent_hjb.lq import (
+    quad_regressor,
+    reduce_kron_columns,
+    spectral_abscissa,
+    svec,
+    svec_index_pairs,
+    svec_to_mat,
+)
 
 
 def scalar_are_root(a, b, q, r, lam):
@@ -54,6 +61,47 @@ class TestSvec:
         row = np.kron(x, x)[None, :]
         reduced = reduce_kron_columns(row, 3)
         assert reduced @ svec(p) == pytest.approx(x @ p @ x)
+
+
+class TestSvecMatchesPairLoops:
+    """The indexed svec helpers against the per-pair loops they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10])
+    def test_helpers(self, n):
+        rng = np.random.default_rng(n)
+        pairs = svec_index_pairs(n)
+        mat = rng.normal(size=(n, n))
+        v = rng.normal(size=len(pairs))
+        x = rng.normal(size=(4, n))
+        kron_block = rng.normal(size=(5, n * n))
+        loop_mat = np.zeros((n, n))
+        for k, (i, j) in enumerate(pairs):
+            loop_mat[i, j] = loop_mat[j, i] = v[k]
+        loop_reg = np.stack(
+            [x[:, i] * x[:, j] * (1.0 if i == j else 2.0) for i, j in pairs], axis=-1
+        )
+        loop_kron = np.stack(
+            [kron_block[:, i * n + i] if i == j
+             else kron_block[:, i * n + j] + kron_block[:, j * n + i] for i, j in pairs],
+            axis=-1,
+        )
+        assert np.array_equal(svec(mat), np.array([mat[i, j] for i, j in pairs]))
+        assert np.array_equal(svec_to_mat(v, n), loop_mat)
+        assert np.array_equal(quad_regressor(x), loop_reg)
+        assert np.array_equal(quad_regressor(x[0]), loop_reg[0])
+        assert np.array_equal(reduce_kron_columns(kron_block, n), loop_kron)
+
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_lyapunov_operator(self, n):
+        a_cl, _ = make_stable_system(n, 1, seed=n, shift=0.5)
+        m_rhs = np.eye(n)
+        op = np.empty((len(svec_index_pairs(n)),) * 2)
+        for col, (i, j) in enumerate(svec_index_pairs(n)):
+            basis = np.zeros((n, n))
+            basis[i, j] = basis[j, i] = 1.0
+            op[:, col] = svec(a_cl.T @ basis + basis @ a_cl - 0.3 * basis)
+        p = svec_to_mat(np.linalg.solve(op, -svec(m_rhs)), n)
+        assert np.array_equal(solve_lyapunov(a_cl, 0.3, m_rhs), p)
 
 
 class TestSolveLyapunov:

@@ -24,6 +24,7 @@ from maxent_hjb.godunov import _CachedHamiltonian
 from maxent_hjb.lq import (
     are_residual,
     quad_regressor,
+    reduce_kron_columns,
     solve_lyapunov,
     spectral_abscissa,
     svec,
@@ -216,6 +217,18 @@ def test_quad_regressor_is_the_quadratic_form(n, seed):
     x = np.random.default_rng(seed + 1).standard_normal(n)
     scale = 1.0 + np.abs(p).sum() * (x @ x)
     assert quad_regressor(x) @ svec(p) == pytest.approx(x @ p @ x, abs=1e-12 * scale)
+
+
+@SETTINGS
+@given(dims, seeds)
+def test_reduced_kron_row_is_the_quadratic_form(n, seed):
+    # merging the (i,j)/(j,i) columns of kron(x, x) gives the svec regressor
+    p = _random_symmetric(n, seed)
+    x = np.random.default_rng(seed + 1).standard_normal(n)
+    scale = 1.0 + np.abs(p).sum() * (x @ x)
+    reduced = reduce_kron_columns(np.kron(x, x)[None], n)
+    assert reduced.shape == (1, n * (n + 1) // 2)
+    assert (reduced @ svec(p))[0] == pytest.approx(x @ p @ x, abs=1e-12 * scale)
 
 
 @SETTINGS
