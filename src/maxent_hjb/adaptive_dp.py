@@ -17,19 +17,22 @@ u(s) + K x(s) stands in for the exploration-measure mean in the regressors.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .dynamics import Trajectory, diverged, make_rng
+from .dynamics import Trajectory, diverged, make_rng, write_json
 from .errors import (
     DimensionMismatchError, DivergedTrajectoryError, RankDeficientError, RankStallError
 )
 from .lq import (
     numerical_rank, quad_regressor, reduce_kron_columns, spectral_abscissa, svec_size, svec_to_mat
 )
+
+REGRESSOR_RANK_TOL = 1e-12  # relative singular-value cut for the regressor rank
+WINDOW_BUDGET_FACTOR = 10  # windows allowed per unknown before a rank stall
 
 
 @dataclass(frozen=True)
@@ -43,8 +46,6 @@ class LearnerConfig:
     eps_stop: float = 1e-6
     max_iters: int = 50
     seed: int = 0
-    rank_tol: float = 1e-12
-    window_budget_factor: int = 10
     extra_windows: int = 0
     eval_horizon: float = 20.0
     settle_band: float = 1.0
@@ -62,8 +63,17 @@ class LearnerConfig:
         return self.delta_t / self.n_sub
 
 
+class _Rows:
+    """What both rows types share: the rank of their regressors."""
+
+    @cached_property
+    def rank(self) -> int:
+        """Numerical rank of ``regressors``, computed once per rows object."""
+        return numerical_rank(self.regressors, REGRESSOR_RANK_TOL)
+
+
 @dataclass
-class OnPolicyRows:
+class OnPolicyRows(_Rows):
     """Stacked regression rows for one on-policy iteration."""
 
     theta: np.ndarray
@@ -82,7 +92,7 @@ class OnPolicyRows:
 
 
 @dataclass
-class OffPolicyRows:
+class OffPolicyRows(_Rows):
     """Endpoint and integral data matrices shared by all off-policy iterations."""
 
     delta: np.ndarray
@@ -132,8 +142,7 @@ class LearnerReport:
             "p_final": None if self.p_final is None else self.p_final.tolist(),
             "k_final": None if self.k_final is None else self.k_final.tolist(),
         }
-        with open(path, "w", encoding="ascii") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+        write_json(path, payload)
 
 
 class HiddenLqSystem:
@@ -170,11 +179,11 @@ class HiddenLqSystem:
 
 
 class _Stream:
-    """Continuous simulation record: one substep per entry."""
+    """Continuous simulation record from x0 = (1, ..., 1): one substep per entry."""
 
-    def __init__(self, x0):
+    def __init__(self, n):
         self.times = [0.0]
-        self.states = [np.asarray(x0, dtype=float).copy()]
+        self.states = [np.ones(n)]
         self.controls = []
 
     def as_trajectory(self, seed) -> Trajectory:
@@ -271,30 +280,29 @@ def collect_offpolicy_window(times, states, controls, lam):
     )
 
 
-def _solve_pk(rows, coeff, rhs, rank_tol):
+def _solve_pk(rows, coeff, rhs):
     """Rank-checked least squares coeff [svec(P); vec(K)] = rhs, split into (P, K)."""
     n_p = svec_size(rows.n)
     needed = n_p + rows.m * rows.n
-    rank = numerical_rank(rows.regressors, rank_tol)
-    if rank < needed:
-        raise RankDeficientError(rank, needed)
+    if rows.rank < needed:
+        raise RankDeficientError(rows.rank, needed)
     sol, *_ = np.linalg.lstsq(coeff, rhs, rcond=None)
     p = svec_to_mat(sol[:n_p], rows.n)
     return p, sol[n_p:].reshape(rows.n, rows.m).T  # vec is column-major
 
 
-def solve_onpolicy(rows: OnPolicyRows, rank_tol: float = 1e-12):
+def solve_onpolicy(rows: OnPolicyRows):
     """Least-squares solve of theta [svec(P); vec(K)] = xi."""
-    return _solve_pk(rows, rows.theta, rows.xi, rank_tol)
+    return _solve_pk(rows, rows.theta, rows.xi)
 
 
-def solve_offpolicy(rows: OffPolicyRows, k_gain, q_mat, r_mat, rank_tol: float = 1e-12):
+def solve_offpolicy(rows: OffPolicyRows, k_gain, q_mat, r_mat):
     """Rebuild the gain-dependent blocks for K_k and solve for (P_k, K_{k+1})."""
     eye = np.eye(rows.n)
     gain_block = -2.0 * (rows.i1 @ np.kron(eye, k_gain.T @ r_mat) + rows.i2 @ np.kron(eye, r_mat))
     qk = q_mat + k_gain.T @ r_mat @ k_gain
     rhs = -rows.i1 @ qk.flatten(order="F")
-    return _solve_pk(rows, np.hstack([rows.delta, gain_block]), rhs, rank_tol)
+    return _solve_pk(rows, np.hstack([rows.delta, gain_block]), rhs)
 
 
 def sinusoidal_baseline(a: float, omega_bar: float, n_terms: int, seed: int, channels: int = 1):
@@ -337,7 +345,7 @@ def _running_cost_increment(system, traj, lam):
     return float(np.trapezoid(np.exp(-lam * traj.times) * vals, traj.times))
 
 
-def _start_stream(system, k0, config, x0, explore):
+def _start_stream(system, k0, config, explore):
     """Initial gain, exploration noise and stream.
 
     The noise is ``explore`` when given, else one N(0, alpha R^-1) draw per call.
@@ -348,8 +356,7 @@ def _start_stream(system, k0, config, x0, explore):
     def gaussian(t):
         return chol_sigma @ rng.standard_normal(system.m)
 
-    x0 = np.ones(system.n) if x0 is None else np.asarray(x0, dtype=float)
-    stream = _Stream(x0)
+    stream = _Stream(system.n)
     return np.asarray(k0, dtype=float).copy(), gaussian if explore is None else explore, stream
 
 
@@ -363,7 +370,7 @@ def _collect_until_rank(system, stream, k_gain, noise, config, collect, stack):
     and the window count at which the rank condition first held.
     """
     needed = svec_size(system.n) + system.m * system.n
-    budget = config.window_budget_factor * needed
+    budget = WINDOW_BUDGET_FACTOR * needed
     samples = []
     rank_at = None
 
@@ -380,7 +387,7 @@ def _collect_until_rank(system, stream, k_gain, noise, config, collect, stack):
         samples.append(collect(times, states, controls))
         windows = len(samples)
         if rank_at is None and windows >= needed:
-            if numerical_rank(stacked().regressors, config.rank_tol) >= needed:
+            if stacked().rank >= needed:
                 rank_at = windows
         if rank_at is not None and windows >= rank_at + config.extra_windows:
             return stacked(), rank_at
@@ -438,7 +445,6 @@ def run_onpolicy(
     system: HiddenLqSystem,
     k0: np.ndarray,
     config: LearnerConfig,
-    x0=None,
     explore=None,
 ) -> LearnerReport:
     """Per iteration: collect windows under N(-K_k x, alpha R^-1) until the
@@ -448,7 +454,7 @@ def run_onpolicy(
     ``explore`` switches Gaussian exploration off in favor of a deterministic
     additive signal (the sinusoidal comparison baseline).
     """
-    k_gain, noise, stream = _start_stream(system, k0, config, x0, explore)
+    k_gain, noise, stream = _start_stream(system, k0, config, explore)
 
     def rows_for_gain(k):
         return _collect_until_rank(
@@ -459,7 +465,7 @@ def run_onpolicy(
 
     return _policy_iteration(
         system, stream, k_gain, config, rows_for_gain,
-        lambda rows, k: solve_onpolicy(rows, config.rank_tol),
+        lambda rows, k: solve_onpolicy(rows),
     )
 
 
@@ -467,12 +473,11 @@ def run_offpolicy(
     system: HiddenLqSystem,
     k0: np.ndarray,
     config: LearnerConfig,
-    x0=None,
     explore=None,
 ) -> LearnerReport:
     """Collect once under N(-K0 x, alpha R^-1) until the data matrices reach
     full rank, then iterate the off-policy solve to convergence on that data."""
-    k_gain, noise, stream = _start_stream(system, k0, config, x0, explore)
+    k_gain, noise, stream = _start_stream(system, k0, config, explore)
     rows, rank_at = _collect_until_rank(
         system, stream, k_gain, noise, config,
         lambda *window: collect_offpolicy_window(*window, config.lam),
@@ -482,5 +487,5 @@ def run_offpolicy(
     return _policy_iteration(
         system, stream, k_gain, config,
         lambda k: fresh.pop() if fresh else (rows, None),
-        lambda rows, k: solve_offpolicy(rows, k, system.q, system.r, config.rank_tol),
+        lambda rows, k: solve_offpolicy(rows, k, system.q, system.r),
     )

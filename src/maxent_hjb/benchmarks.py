@@ -61,17 +61,11 @@ def vdp_control_box() -> ControlBox:
 
 
 def _vdp4_field(x, u):
-    x1 = x[..., 0]
-    x2 = x[..., 1]
-    x3 = x[..., 2]
-    x4 = x[..., 3]
-    uu = u[..., 0]
-    channel = uu + uu**3 / 3.0 + np.sin(uu)
-    f1 = x2
-    f2 = -2.0 * (x1**2 - 1.0) * x2 - x1 + (2.0 + np.sin(x1 * x2)) * channel
-    f3 = x4
+    """The planar field on (x1, x2), driving the damped pair (x3, x4) through x1."""
+    plane = _vdp_plane_field(x, u)
+    x1, x3, x4 = x[..., 0], x[..., 2], x[..., 3]
     f4 = -x3 - 0.2 * x4 + x1
-    return np.stack(np.broadcast_arrays(f1, f2, f3, f4), axis=-1)
+    return np.stack(np.broadcast_arrays(plane[..., 0], plane[..., 1], x4, f4), axis=-1)
 
 
 def vdp4_model() -> DynamicsModel:
@@ -83,13 +77,8 @@ VDP4_X0 = np.array([0.05, 0.25, 0.0, 0.02])
 
 
 def vdp4_cost(alpha: float = 1.0, horizon: float = 2.5) -> CostModel:
-    return CostModel(
-        running=GenericRunning(_abs_running),
-        terminal=L1Terminal(),
-        alpha=alpha,
-        lam=0.0,
-        horizon=horizon,
-    )
+    """The planar cost (r = |x| + |u|, l1 terminal) over one 2.5 s control window."""
+    return vdp_plane_cost(alpha, horizon)
 
 
 def linear_channel_model() -> DynamicsModel:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import os
 import sys
@@ -38,10 +37,16 @@ from .benchmarks import (
     vdp_plane_model,
     zero_running_cost,
 )
-from .dynamics import ControlBox, write_table
+from .dynamics import ControlBox, write_json, write_table
 from .errors import ConfigError, MaxEntError
 from .godunov import Grid2D, compare_solutions, godunov_solve
-from .hopf_lax import HopfLaxConfig, receding_horizon_control, surface_to_csv, value_surface
+from .hopf_lax import (
+    HopfLaxConfig,
+    receding_horizon_control,
+    surface_to_csv,
+    value_surface,
+    window_steps,
+)
 from .lq import kleinman_iterate, save_matrix
 from .soft_hamiltonian import (
     HamiltonianContext,
@@ -176,15 +181,13 @@ class RunManifest:
     outputs: list
 
     def to_json(self, path):
-        payload = {
+        write_json(path, {
             "command": self.command,
             "config": self.config,
             "version": self.version,
             "duration_s": self.duration_s,
             "outputs": self.outputs,
-        }
-        with open(path, "w", encoding="ascii") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+        })
 
     def verify(self, base_dir) -> bool:
         for entry in self.outputs:
@@ -276,11 +279,6 @@ def parse_config(
     return ExperimentConfig(command=command, seed=seed, output_dir=Path(output_dir), params=params)
 
 
-def _write_json(path, payload):
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-
-
 def _write_csv(path, header, rows):
     write_table(path, ", ".join(header), rows)
 
@@ -366,7 +364,7 @@ def _run_ham_sweep(config: ExperimentConfig, out: Path, produced: list):
         ]
         summary["max_abs_err_vs_closed_form"] = max(errs)
     summary_path = out / "summary.json"
-    _write_json(summary_path, summary)
+    write_json(summary_path, summary)
     produced.append(summary_path)
 
 
@@ -419,15 +417,16 @@ def _run_hjb_compare(config: ExperimentConfig, out: Path, produced: list):
     surface_to_csv(hopf_path, grid.xs, grid.ys, surface)
     produced.append(hopf_path)
     summary_path = out / "summary.json"
-    _write_json(summary_path, report)
+    write_json(summary_path, report)
     produced.append(summary_path)
 
 
 def _run_vdp_control(config: ExperimentConfig, out: Path, produced: list):
     p = config.params
-    ratio = p["total_t"] / p["window_t"]
-    if abs(ratio - round(ratio)) > 1e-9:
-        raise ConfigError(f"window_t {p['window_t']} does not divide total_t {p['total_t']}")
+    try:
+        window_steps(p["total_t"], p["window_t"], p["dt"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     model = vdp4_model()
     cost = vdp4_cost(alpha=p["alpha"], horizon=p["window_t"])
     grid_q = build_grid(vdp_control_box(), p["nodes"])
@@ -474,7 +473,7 @@ def _run_vdp_control(config: ExperimentConfig, out: Path, produced: list):
     )
     produced.append(unc_path)
     summary_path = out / "summary.json"
-    _write_json(
+    write_json(
         summary_path,
         {
             "controlled_running_cost": controlled_cost,
@@ -496,7 +495,7 @@ def _run_lq_exact(config: ExperimentConfig, out: Path, produced: list):
     save_matrix(k_path, sol.k)
     produced.append(k_path)
     summary_path = out / "summary.json"
-    _write_json(
+    write_json(
         summary_path,
         {
             "fixture": p["fixture"],
@@ -538,7 +537,7 @@ def _run_lq_learner(config: ExperimentConfig, out: Path, produced: list):
     produced.append(traj_path)
     summary_path = out / "summary.json"
     settling = report.settling_time if math.isfinite(report.settling_time) else None
-    _write_json(
+    write_json(
         summary_path,
         {
             "fixture": p["fixture"],

@@ -9,6 +9,7 @@ from a seed.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -23,6 +24,7 @@ from .errors import (
 )
 
 DIVERGENCE_NORM = 1e8
+MAX_COST_HORIZON = 1e4  # cap on the truncation horizon of an infinite-horizon cost
 _TABLE_BLOCK_ROWS = 1024
 
 
@@ -41,6 +43,12 @@ def write_table(path, header_line, table, sep=", "):
         for start in range(0, len(table), _TABLE_BLOCK_ROWS):
             block = table[start : start + _TABLE_BLOCK_ROWS]
             fh.write((row * len(block)).format(*block.ravel().tolist()))
+
+
+def write_json(path, payload):
+    """``payload`` as ASCII JSON, indented by 2 with sorted keys."""
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
 
 
 def _as_vector(x, dim, name):
@@ -128,7 +136,6 @@ class DynamicsModel:
     state_dim: int
     control_dim: int
     family: Linear | ControlAffine | Generic
-    one_sided_lipschitz: float | None = None
 
     def eval(self, x, u) -> np.ndarray:
         x = _as_vector(x, self.state_dim, "x")
@@ -321,19 +328,6 @@ class Trajectory:
         table = np.column_stack([self.times, self.states, self.controls])
         write_table(path, ", ".join(header), table)
 
-    @staticmethod
-    def from_csv(path, seed=0) -> "Trajectory":
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        with open(path, encoding="ascii") as fh:
-            names = [c.strip() for c in fh.readline().split(",")]
-        n = sum(1 for c in names if c.startswith("x_"))
-        return Trajectory(
-            times=data[:, 0],
-            states=data[:, 1 : 1 + n],
-            controls=data[:, 1 + n :],
-            seed=seed,
-        )
-
 
 def relaxed_drift(model: DynamicsModel, x, policy: GaussianPolicy) -> np.ndarray:
     """Mean drift under the relaxed Gaussian control.
@@ -449,14 +443,14 @@ def evaluate_cost(
     dt: float = 0.05,
     grid=None,
     tol: float = 1e-6,
-    max_horizon: float = 1e4,
 ) -> CostEstimate:
     """Sampled-trajectory estimate of the entropy-regularized cost functional.
 
     Finite horizon: trapezoid of e^{-lam s}(E[r] - alpha H) over [0, T] plus the
     terminal cost. Infinite horizon: requires lam > 0; truncates at
-    T = (1/lam) log(M_r / (lam tol)) with M_r bounding the integrand magnitude,
-    and reports the tail bound M_r e^{-lam T}/lam alongside the value.
+    T = (1/lam) log(M_r / (lam tol)), at most MAX_COST_HORIZON, with M_r
+    bounding the integrand magnitude, and reports the tail bound
+    M_r e^{-lam T}/lam alongside the value.
     """
     entropy = gaussian_entropy(policy.covariance)
     finite = math.isfinite(cost.horizon)
@@ -473,7 +467,7 @@ def evaluate_cost(
             _expected_running_cost(cost, policy, x0v[None, :], grid)[0]
         ) - cost.alpha * entropy
         m_r = max(abs(probe), abs(cost.alpha * entropy), 1.0)
-        horizon = min((1.0 / cost.lam) * math.log(m_r / (cost.lam * tol)), max_horizon)
+        horizon = min((1.0 / cost.lam) * math.log(m_r / (cost.lam * tol)), MAX_COST_HORIZON)
     steps = max(1, int(round(horizon / h)))
 
     traj = simulate_sampled(model, policy, x0, dt, steps, seed)

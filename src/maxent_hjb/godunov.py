@@ -16,7 +16,6 @@ quadrature nodes.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +24,8 @@ from .dynamics import write_table
 from .errors import DegenerateCflError, DimensionMismatchError, NoConvergenceError
 from .soft_hamiltonian import HamiltonianContext, boltzmann_moments
 
-_MAGIC = b"MEHJB2D\x00"
 _SPEED_REFRESH = 50
+MAX_STEPS = 200_000
 NEWTON_TOL = 1e-13
 NEWTON_ITERS = 100
 
@@ -88,31 +87,6 @@ class GridFunction:
 
     def to_csv(self, path):
         write_table(path, "x, y, W", np.column_stack([self.grid.points(), self.values.ravel()]))
-
-    def to_binary(self, path):
-        """32-byte header (magic, nx, ny, time) + row-major float64 values."""
-        header = _MAGIC + struct.pack("<IId", self.grid.nx, self.grid.ny, self.time)
-        header += b"\x00" * (32 - len(header))
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(np.ascontiguousarray(self.values, dtype="<f8").tobytes())
-
-    @staticmethod
-    def from_binary(path, grid: Grid2D) -> "GridFunction":
-        with open(path, "rb") as fh:
-            header = fh.read(32)
-            if header[:8] != _MAGIC:
-                raise ValueError("bad magic in binary grid dump")
-            nx, ny, time = struct.unpack("<IId", header[8:24])
-            payload = fh.read()
-        if len(payload) != 8 * nx * ny:
-            raise DimensionMismatchError(
-                f"dump holds {len(payload)} payload bytes, expected {8 * nx * ny} for {nx} x {ny}"
-            )
-        values = np.frombuffer(payload, dtype="<f8").reshape(nx, ny)
-        if (nx, ny) != (grid.nx, grid.ny):
-            raise DimensionMismatchError("dump shape does not match the grid")
-        return GridFunction(values=values.copy(), grid=grid, time=time)
 
 
 class _CachedHamiltonian:
@@ -246,7 +220,6 @@ def godunov_solve(
     grid: Grid2D,
     t_final: float,
     cfl: float = 0.5,
-    max_steps: int = 200_000,
 ) -> GridFunction:
     """March the monotone scheme from W(0) = q to time ``t_final``.
 
@@ -266,7 +239,7 @@ def godunov_solve(
     t = 0.0
     dt = None
     p_independent = False
-    for step in range(max_steps):
+    for step in range(MAX_STEPS):
         if t >= t_final - 1e-14:
             break
         dm_x, dp_x, dm_y, dp_y = _one_sided_gradients(w, grid.dx, grid.dy)
@@ -296,7 +269,7 @@ def godunov_solve(
         w = w - step_dt * flux.reshape(grid.nx, grid.ny)
         t += step_dt
     else:
-        raise DegenerateCflError(f"time stepping did not reach T in {max_steps} steps")
+        raise DegenerateCflError(f"time stepping did not reach T in {MAX_STEPS} steps")
     return GridFunction(values=w, grid=grid, time=t_final)
 
 

@@ -59,6 +59,8 @@ class HopfLaxConfig:
             raise ValueError("n_starts must be >= 1")
         if self.start_radius <= 0.0:
             raise ValueError("start_radius must be > 0")
+        if self.simplex_iters < 1:
+            raise ValueError("simplex_iters must be >= 1")
         if self.formula not in (MIN_FORM, MAX_FORM):
             raise ValueError("formula must be 'min' or 'max'")
 
@@ -433,9 +435,15 @@ def value_surface(
     and polish for ``warm_iters`` iterations. The fixed band layout (not the
     process count) determines results, so outputs are reproducible per seed.
     """
+    if warm_iters is not None and warm_iters < 1:
+        raise ValueError("warm_iters must be >= 1")
+    if n_random < 0:
+        raise ValueError("n_random must be >= 0")
+    if n_bands < 1:
+        raise ValueError("n_bands must be >= 1")
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    bands = np.array_split(np.arange(len(ys)), max(1, n_bands))
+    bands = np.array_split(np.arange(len(ys)), n_bands)
     args = [
         (ctx, q_spec, xs, ys, band, t, config, n_random, warm_iters)
         for band in bands
@@ -553,6 +561,28 @@ def sample_feedback(
     return lo + rng.random(box.dim) * (hi - lo)
 
 
+def _whole_ratio(num: float, den: float):
+    """num / den as an int >= 1, or None unless it is within 1e-9 of one."""
+    ratio = num / den
+    whole = round(ratio)
+    return whole if whole >= 1 and abs(ratio - whole) <= 1e-9 else None
+
+
+def window_steps(total_t: float, window_t: float, dt: float) -> tuple[int, int]:
+    """(windows, Euler steps per window) of a receding-horizon run.
+
+    Raises ValueError unless ``window_t`` divides ``total_t`` and the Euler
+    step dt^2 divides ``window_t``, so the run covers exactly ``total_t``.
+    """
+    windows = _whole_ratio(total_t, window_t)
+    if windows is None:
+        raise ValueError(f"window_t {window_t} does not divide total_t {total_t}")
+    steps = _whole_ratio(window_t, dt * dt)
+    if steps is None:
+        raise ValueError(f"the Euler step dt^2 = {dt * dt!r} does not divide window_t {window_t}")
+    return windows, steps
+
+
 def receding_horizon_control(
     ctx: HamiltonianContext,
     x0,
@@ -560,25 +590,20 @@ def receding_horizon_control(
     window_t: float,
     config: HopfLaxConfig,
     dt: float,
-    q_spec=None,
     replan_every: int = 1,
 ) -> Trajectory:
     """Closed-loop control by successive finite-horizon Hopf-Lax solves.
 
-    The horizon is split into equal windows; inside each window the soft HJB is
-    re-solved at the current state with the remaining window time, a control is
-    sampled from the synthesized Boltzmann density, and the state advances with
-    the sampled-control Euler integrator (step dt^2). ``replan_every`` substeps
+    The horizon is split into equal windows (see ``window_steps``); inside each
+    window the soft HJB, with the context's terminal cost, is re-solved at the
+    current state with the remaining window time, a control is sampled from the
+    synthesized Boltzmann density, and the state advances with the
+    sampled-control Euler integrator (step dt^2). ``replan_every`` substeps
     share one sampled control.
     """
-    ratio = total_t / window_t
-    if abs(ratio - round(ratio)) > 1e-9:
-        raise ValueError("window_t must divide total_t")
-    n_windows = int(round(ratio))
-    if q_spec is None:
-        q_spec = ctx.cost.terminal
+    n_windows, steps_per_window = window_steps(total_t, window_t, dt)
+    q_spec = ctx.cost.terminal
     h = dt * dt
-    steps_per_window = max(1, int(round(window_t / h)))
     rng = make_rng(config.seed)
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     times = [0.0]
@@ -599,7 +624,7 @@ def receding_horizon_control(
             t_abs += h
             times.append(t_abs)
             states.append(x)
-    controls.append(controls[-1] if controls else np.zeros(ctx.grid.box.dim))
+    controls.append(controls[-1])  # the last time point repeats the held control
     return Trajectory(
         times=np.asarray(times),
         states=np.asarray(states),

@@ -28,6 +28,7 @@ from .errors import (
 )
 
 RANK_TOL = 1e-8
+KLEINMAN_MAX_ITERS = 500
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +215,6 @@ def kleinman_iterate(
     prob: LqProblem,
     k0: np.ndarray | None = None,
     tol: float = 1e-12,
-    max_iters: int = 500,
     history: list | None = None,
 ) -> RiccatiSolution:
     """Policy iteration for the discounted ARE from a stabilizing initial gain.
@@ -228,7 +228,7 @@ def kleinman_iterate(
         raise NotHurwitzError("initial gain K0 is not stabilizing")
     p_prev = None
     trace = []
-    for it in range(1, max_iters + 1):
+    for it in range(1, KLEINMAN_MAX_ITERS + 1):
         a_cl = prob.a - prob.b @ k
         p = solve_lyapunov(a_cl, prob.lam, prob.q + k.T @ prob.r @ k)
         k = np.linalg.solve(prob.r, prob.b.T @ p)
@@ -243,7 +243,7 @@ def kleinman_iterate(
                 )
         p_prev = p
     raise NoConvergenceError(
-        f"Kleinman iteration did not converge in {max_iters} steps", trace=trace
+        f"Kleinman iteration did not converge in {KLEINMAN_MAX_ITERS} steps", trace=trace
     )
 
 

@@ -26,7 +26,9 @@ from .dynamics import ControlBox, CostModel, DynamicsModel
 from .errors import DimensionMismatchError
 
 SMALL_ALPHA_WARN = 1e-3
+GRID_GAP_WARN = 1e-6
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_ITERS = 60
 
 
 @dataclass(frozen=True)
@@ -221,12 +223,12 @@ def standard_hamiltonian(
     x,
     p,
     grid: QuadratureGrid,
-    refine_iters: int = 60,
 ) -> float:
     """H_0(x, p) = -inf_u {p.f + r} by grid scan plus local refinement.
 
     The best node is refined with golden-section search (one pass per control
-    coordinate; coordinate descent when m > 1) inside its neighbor interval.
+    coordinate, 60 iterations each; coordinate descent when m > 1) inside its
+    neighbor interval.
     """
     l_vals, _ = _exponent(model, cost, x, p, grid.nodes)
     best_idx = int(np.argmin(l_vals))
@@ -245,7 +247,7 @@ def standard_hamiltonian(
                 u[:, j] = vals
                 return _exponent(model, cost, x, p, u)[0]
 
-            vals, args = _golden_min_batch(coord_obj, np.array([lo]), np.array([hi]), refine_iters)
+            vals, args = _golden_min_batch(coord_obj, np.array([lo]), np.array([hi]), _GOLDEN_ITERS)
             if vals[0] < best_val:
                 best_val = float(vals[0])
                 u_best[j] = args[0]
@@ -317,17 +319,17 @@ def check_grid_convergence(
     box: ControlBox,
     nodes_per_dim: int = 64,
     rule: str = "gauss_legendre",
-    rel_tol: float = 1e-6,
 ) -> float:
-    """Relative gap between the configured grid and a doubled one; warns if large."""
+    """Relative gap between the configured grid and a doubled one; warns above
+    GRID_GAP_WARN."""
     coarse = build_grid(box, nodes_per_dim, rule)
     fine = build_grid(box, 2 * nodes_per_dim, rule)
     hc, _ = soft_hamiltonian_batch(model, cost, x, p, alpha, coarse)
     hf, _ = soft_hamiltonian_batch(model, cost, x, p, alpha, fine)
     gap = float(np.max(np.abs(hc - hf) / (1.0 + np.abs(hf))))
-    if gap > rel_tol:
+    if gap > GRID_GAP_WARN:
         warnings.warn(
-            f"quadrature self-check gap {gap:.3e} exceeds {rel_tol:.0e}; "
+            f"quadrature self-check gap {gap:.3e} exceeds {GRID_GAP_WARN:.0e}; "
             "increase nodes_per_dim",
             RuntimeWarning,
             stacklevel=2,

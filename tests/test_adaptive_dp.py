@@ -20,6 +20,7 @@ from maxent_hjb import (
     solve_onpolicy,
     solve_lyapunov,
 )
+from maxent_hjb import adaptive_dp
 from maxent_hjb.adaptive_dp import _euler_steps, _start_stream
 from maxent_hjb.benchmarks import load_fixture
 from maxent_hjb.dynamics import DIVERGENCE_NORM, diverged, make_rng
@@ -29,7 +30,7 @@ from maxent_hjb.errors import (
     RankDeficientError,
     RankStallError,
 )
-from maxent_hjb.lq import svec, svec_size
+from maxent_hjb.lq import numerical_rank, svec, svec_size
 
 
 @pytest.fixture(scope="module")
@@ -320,12 +321,21 @@ class TestRunOnPolicy:
         # a=0 sinusoid explores nothing: rank can never be met
         silent = lambda t: np.zeros(2)
         with pytest.raises(RankStallError):
-            run_onpolicy(
-                fixture_system,
-                np.zeros((2, 3)),
-                default_config(seed=0, window_budget_factor=2),
-                explore=silent,
-            )
+            run_onpolicy(fixture_system, np.zeros((2, 3)), default_config(seed=0), explore=silent)
+
+    @pytest.mark.parametrize("runner, calls", [(run_offpolicy, 2), (run_onpolicy, 8)])
+    def test_rank_computed_once_per_data_set(self, fixture_system, monkeypatch, runner, calls):
+        # off-policy: one check while collecting, one for the data set all
+        # iterations reuse; on-policy: the same two per iteration
+        counted = []
+        monkeypatch.setattr(
+            adaptive_dp, "numerical_rank",
+            lambda *args: counted.append(1) or numerical_rank(*args),
+        )
+        cfg = default_config(seed=0, extra_windows=12, eval_horizon=0.0)
+        rep = runner(fixture_system, np.zeros((2, 3)), cfg)
+        assert len(rep.iterates) == 4
+        assert len(counted) == calls
 
 
 class TestReportShape:
@@ -499,11 +509,10 @@ class TestEulerStepper:
         system = fixture_system
         cfg = default_config(seed=4, eval_horizon=1.0)
         k_gain = 0.1 * np.arange(6.0).reshape(2, 3) - 0.2
-        x0 = [1.0, -0.5, 0.25]
         explore = sinusoidal_baseline(0.5, 100.0, 20, seed=4, channels=2)
-        _, gaussian, stream = _start_stream(system, k_gain, cfg, x0, None)
+        _, gaussian, stream = _start_stream(system, k_gain, cfg, None)
         noise_fn = {"gaussian": gaussian, "explore": explore, "none": None}[noise]
-        ref = _ReferenceStream(x0)
+        ref = _ReferenceStream(stream.states[0])
         chol_sigma = np.linalg.cholesky(cfg.alpha * np.linalg.inv(system.r))
         rng = make_rng(cfg.seed)
         # windows under the exploration noise; the old loop had no noise-free
@@ -524,7 +533,7 @@ class TestEulerStepper:
         system = HiddenLqSystem([[5.0]], [[1.0]], [[1.0]], [[1.0]])
         cfg = default_config(seed=0, delta_t=0.1, n_sub=10)
         k_gain = np.zeros((1, 1))
-        _, gaussian, stream = _start_stream(system, k_gain, cfg, [1.0], None)
+        _, gaussian, stream = _start_stream(system, k_gain, cfg, None)
         ref = _ReferenceStream([1.0])
         with pytest.raises(DivergedTrajectoryError) as new_err:
             if noise == "gaussian":

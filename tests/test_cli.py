@@ -154,12 +154,13 @@ class TestHjbCompareCommand:
 
 class TestVdpControlCommand:
     def test_short_run(self, tmp_path):
+        # one window of five Euler steps of dt^2 = 0.49
         config = parse_config(
             "vdp-control",
             overrides={
                 "out": str(tmp_path),
-                "total_t": "2.5",
-                "window_t": "2.5",
+                "total_t": "2.45",
+                "window_t": "2.45",
                 "simplex_iters": "30",
                 "n_starts": "3",
                 "dt": "0.7",
@@ -207,6 +208,7 @@ class TestMainEntry:
             ["ham-sweep", "--alphas", "1,x"],
             ["lq-exact", "--fixture", "foo"],
             ["lq-onpolicy", "--seed", "-1"],
+            ["vdp-control", "--total_t", "2.5", "--window_t", "2.5", "--dt", "0.7"],
         ],
     )
     def test_out_of_range_value_exits_two(self, argv, tmp_path, capsys):

@@ -23,7 +23,7 @@ from maxent_hjb import (
     soft_hamiltonian_batch,
 )
 from maxent_hjb.benchmarks import vdp_plane_cost, vdp_plane_model
-from maxent_hjb.errors import DegenerateCflError, DimensionMismatchError, NoConvergenceError
+from maxent_hjb.errors import DegenerateCflError, NoConvergenceError
 from maxent_hjb.godunov import _CachedHamiltonian, _godunov_extremize
 
 
@@ -79,29 +79,17 @@ class TestGridTypes:
         with pytest.raises(ValueError):
             GridFunction(values=values, grid=g, time=0.0)
 
-    def test_csv_and_binary_round_trip(self, tmp_path):
+    def test_csv_round_trip(self, tmp_path):
         g = Grid2D(-1.0, 1.0, -1.0, 1.0, 8, 8)
         rng = np.random.default_rng(0)
         f = GridFunction(values=rng.normal(size=(8, 8)), grid=g, time=0.25)
-        binary = tmp_path / "field.bin"
-        f.to_binary(binary)
-        back = GridFunction.from_binary(binary, g)
-        assert np.array_equal(back.values, f.values)
-        assert back.time == 0.25
         csv_path = tmp_path / "field.csv"
         f.to_csv(csv_path)
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "x, y, W"
         assert len(lines) == 65
-
-    def test_truncated_binary_rejected(self, tmp_path):
-        g = Grid2D(-1.0, 1.0, -1.0, 1.0, 8, 8)
-        f = GridFunction(values=np.ones((8, 8)), grid=g, time=0.0)
-        binary = tmp_path / "field.bin"
-        f.to_binary(binary)
-        binary.write_bytes(binary.read_bytes()[: 32 + 8 * 10])
-        with pytest.raises(DimensionMismatchError):
-            GridFunction.from_binary(binary, g)
+        back = np.loadtxt(csv_path, delimiter=",", skiprows=1)
+        assert np.array_equal(back[:, 2], f.values.ravel())
 
 
 class TestGodunovFlux:

@@ -26,6 +26,8 @@ from maxent_hjb import (
     synthesize_feedback,
     value_surface,
 )
+from maxent_hjb import hopf_lax
+from maxent_hjb.hopf_lax import window_steps
 from maxent_hjb.benchmarks import (
     VDP4_X0,
     linear_channel_model,
@@ -69,6 +71,13 @@ def lq_ctx():
     )
     grid = build_grid(ControlBox(lower=[-2.0], upper=[2.0]), 48)
     return HamiltonianContext(model=model, cost=cost, alpha=0.5, grid=grid)
+
+
+class TestHopfLaxConfig:
+    @pytest.mark.parametrize("iters", [0, -3])
+    def test_simplex_iters_below_one_rejected(self, iters):
+        with pytest.raises(ValueError, match="simplex_iters"):
+            HopfLaxConfig(simplex_iters=iters)
 
 
 class TestCharacteristics:
@@ -277,6 +286,13 @@ class TestValueSurface:
         w2 = value_surface(lq_ctx, lq_ctx.cost.terminal, xs, ys, 0.2, cfg, n_bands=2, processes=2)
         assert np.array_equal(w1, w2)
 
+    @pytest.mark.parametrize("bad", [{"warm_iters": 0}, {"n_random": -1}, {"n_bands": 0}])
+    def test_out_of_range_keyword_rejected_before_any_band(self, lq_ctx, monkeypatch, bad):
+        monkeypatch.setattr(hopf_lax, "_sweep_band", lambda *args: pytest.fail("a band ran"))
+        grid = np.linspace(-0.5, 0.5, 8)
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            value_surface(lq_ctx, lq_ctx.cost.terminal, grid, grid, 0.2, HopfLaxConfig(), **bad)
+
 
 class TestFeedbackSynthesis:
     def test_uniform_at_zero_costate(self, channel_ctx):
@@ -431,6 +447,20 @@ class TestRecedingHorizon:
         cfg = HopfLaxConfig(ode_step=0.1, seed=0)
         with pytest.raises(ValueError):
             receding_horizon_control(channel_ctx, [0.0], 1.0, 0.3, cfg, dt=0.1)
+
+    def test_euler_step_must_divide_window(self, channel_ctx):
+        # 2.5 / 0.7^2 = 5.10: five steps would end the run at t = 2.45
+        cfg = HopfLaxConfig(ode_step=0.1, seed=0)
+        with pytest.raises(ValueError, match="does not divide window_t"):
+            receding_horizon_control(channel_ctx, [0.0], 2.5, 2.5, cfg, dt=0.7)
+
+    @pytest.mark.parametrize(
+        "total_t, window_t, dt, expected",
+        [(20.0, 2.5, 0.5, (8, 10)), (5.0, 2.5, 0.5, (2, 10)), (0.5, 0.5, 0.5, (1, 2)),
+         (0.8, 0.4, 0.2, (2, 10)), (2.45, 2.45, 0.7, (1, 5))],
+    )
+    def test_window_steps_of_accepted_configs(self, total_t, window_t, dt, expected):
+        assert window_steps(total_t, window_t, dt) == expected
 
     @pytest.mark.slow
     def test_vdp_closed_loop_beats_uncontrolled(self):

@@ -20,6 +20,7 @@ from maxent_hjb import (
     save_matrix,
     solve_lyapunov,
 )
+from maxent_hjb.benchmarks import FIXTURE_SPECS, fixture_dir, write_fixture_files
 from maxent_hjb.errors import NotHurwitzError
 from maxent_hjb.lq import (
     quad_regressor,
@@ -319,6 +320,13 @@ class TestMatrixFiles:
         a, b = make_stable_system(10, 10, seed=77)
         assert spectral_abscissa(a) <= -0.01 + 1e-12
         assert np.max(np.abs(b)) < 1.0  # scaled down by 0.1
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_SPECS))
+    def test_packaged_fixtures_regenerate_from_recipe(self, tmp_path, name):
+        write_fixture_files(name, tmp_path)
+        for part in ("A", "B"):
+            packaged = (fixture_dir() / f"{name}_{part}.txt").read_bytes()
+            assert (tmp_path / f"{name}_{part}.txt").read_bytes() == packaged
 
     def test_stabilizability_warning(self):
         # both modes unreachable: the numerical rank check should warn
