@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import Trajectory, diverged, make_rng, write_json
+from .dynamics import DIVERGENCE_NORM, Trajectory, diverged, make_rng, write_json
 from .errors import (
     DimensionMismatchError, DivergedTrajectoryError, RankDeficientError, RankStallError
 )
@@ -33,6 +33,7 @@ from .lq import (
 
 REGRESSOR_RANK_TOL = 1e-12  # relative singular-value cut for the regressor rank
 WINDOW_BUDGET_FACTOR = 10  # windows allowed per unknown before a rank stall
+ROLLOUT_BLOCK = 256  # noise-free Euler steps per increment-table product
 
 
 @dataclass(frozen=True)
@@ -172,6 +173,10 @@ class HiddenLqSystem:
     def drift(self, x, u):
         return self._a @ x + self._b @ u
 
+    def euler_increment(self, k_gain, h):
+        """D = h (A - B K): one noise-free Euler substep maps x to x + D x."""
+        return h * (self._a - self._b @ k_gain)
+
     # harness-side diagnostics (not available to the learner logic)
 
     def closed_loop_abscissa(self, k_gain, lam) -> float:
@@ -179,46 +184,107 @@ class HiddenLqSystem:
 
 
 class _Stream:
-    """Continuous simulation record from x0 = (1, ..., 1): one substep per entry."""
+    """Continuous simulation record from x0 = (1, ..., 1): one substep per row,
+    kept as the blocks of rows that the stepper and the rollout append."""
 
     def __init__(self, n):
-        self.times = [0.0]
-        self.states = [np.ones(n)]
+        self.times = [np.zeros(1)]
+        self.states = [np.ones((1, n))]
         self.controls = []
+        self.rows = 1
+
+    @property
+    def last(self):
+        """Time and state of the newest row."""
+        return self.times[-1][-1], self.states[-1][-1]
+
+    def extend(self, times, states, controls):
+        """Append a block of rows; controls[j] is held over the step that ends at row j."""
+        if len(times):
+            self.times.append(np.asarray(times))
+            self.states.append(np.asarray(states))
+            self.controls.append(np.asarray(controls))
+            self.rows += len(times)
 
     def as_trajectory(self, seed) -> Trajectory:
         # a learner collects windows before it rolls out, so controls is never empty
+        controls = np.concatenate(self.controls)
         return Trajectory(
-            times=np.asarray(self.times),
-            states=np.asarray(self.states),
-            controls=np.asarray(self.controls + self.controls[-1:]),
+            times=np.concatenate(self.times),
+            states=np.concatenate(self.states),
+            controls=np.concatenate([controls, controls[-1:]]),
             seed=seed,
         )
 
 
-def _euler_steps(system, stream, k_gain, h, noise=None, count=-1, t_end=math.inf):
-    """Extend the stream by explicit Euler substeps under u = -Kx + noise(t).
+def _euler_steps(system, stream, k_gain, h, noise, count):
+    """Extend the stream by ``count`` explicit Euler substeps under u = -Kx + noise(t).
 
-    ``noise`` is taken at the pre-step time; None gives the mean control. Stops
-    after ``count`` substeps, or once t reaches ``t_end`` when ``count`` is
-    negative. Every step makes new x and u arrays, so the stream keeps them
-    without copies.
+    ``noise`` is taken at the pre-step time. Returns the window: its times and
+    states from the pre-step row on, and its controls with the last held one
+    repeated. The stream keeps views of these arrays.
     """
-    times, states, controls = stream.times, stream.states, stream.controls
-    x = states[-1]
-    t = times[-1]
-    while count != 0 and t < t_end:
-        count -= 1
-        u = -(k_gain @ x)
-        if noise is not None:
-            u = u + noise(t)
+    t, x = stream.last
+    times, states, controls = [t], [x], []
+    for _ in range(count):
+        u = -(k_gain @ x) + noise(t)
         x = x + h * system.drift(x, u)
         t += h
         if diverged(x):
-            raise DivergedTrajectoryError(len(times))
+            stream.extend(times[1:], states[1:], controls)
+            raise DivergedTrajectoryError(stream.rows)
         times.append(t)
         states.append(x)
         controls.append(u)
+    times, states, controls = map(np.asarray, (times, states, controls + controls[-1:]))
+    stream.extend(times[1:], states[1:], controls[:-1])
+    return times, states, controls
+
+
+def _increment_table(d, size):
+    """E_i = (I + D)^i - I for i = 1..size, built by doubling from E_1 = D.
+
+    E_{j+k} = E_j + E_k + E_j E_k fills E_{k+1..2k} from E_1..E_k in one batched
+    product, so each E_i carries about log2(i) roundings instead of i. The
+    increment form also keeps the rounding of I + D out of the table. The
+    tests hold x + E_i x within 1e-12 relative of i explicit Euler steps.
+    """
+    table = np.empty((size,) + d.shape)
+    table[0] = d
+    filled = 1
+    while filled < size:
+        take = min(filled, size - filled)
+        head, last = table[:take], table[filled - 1]
+        table[filled : filled + take] = head + last + head @ last
+        filled += take
+    return table
+
+
+def _rollout(system, stream, k_gain, h, t_end):
+    """Extend the stream by noise-free Euler substeps under u = -Kx until t reaches t_end.
+
+    The closed loop is linear, so each block of ROLLOUT_BLOCK steps is one
+    product with the increment table. The times are accumulated in sequence,
+    as the per-step loop adds them, and the divergence test runs once per
+    block: the stream then holds exactly the rows before the first bad one.
+    """
+    steps = np.full(ROLLOUT_BLOCK + 1, h)
+    t, x = stream.last
+    # rows past the first diverged one are computed and dropped; they may overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = _increment_table(system.euler_increment(k_gain, h), ROLLOUT_BLOCK)
+        while t < t_end:
+            steps[0] = t
+            times = np.add.accumulate(steps)
+            count = int(np.count_nonzero(times[:-1] < t_end))
+            states = x + table[:count] @ x
+            controls = -(np.concatenate([x[None], states[:-1]]) @ k_gain.T)
+            bad = ~(np.sqrt(np.einsum("ij,ij->i", states, states)) <= DIVERGENCE_NORM)
+            good = int(np.argmax(bad)) if bad.any() else count
+            stream.extend(times[1 : good + 1], states[:good], controls[:good])
+            if good < count:
+                raise DivergedTrajectoryError(stream.rows)
+            t, x = stream.last
 
 
 def _window_integrals(times, states, controls, lam, running, held):
@@ -378,19 +444,16 @@ def _collect_until_rank(system, stream, k_gain, noise, config, collect, stack):
         return stack(*map(np.asarray, zip(*samples)))
 
     while True:
-        start = len(stream.times) - 1
-        _euler_steps(system, stream, k_gain, config.substep, noise, count=config.n_sub)
-        # the window is the stream's tail; its last sample repeats the held control
-        times = np.asarray(stream.times[start:])
-        states = np.asarray(stream.states[start:])
-        controls = np.asarray(stream.controls[start:] + stream.controls[-1:])
-        samples.append(collect(times, states, controls))
+        window = _euler_steps(system, stream, k_gain, config.substep, noise, config.n_sub)
+        samples.append(collect(*window))
         windows = len(samples)
         if rank_at is None and windows >= needed:
-            if stacked().rank >= needed:
+            rows = stacked()
+            if rows.rank >= needed:
                 rank_at = windows
         if rank_at is not None and windows >= rank_at + config.extra_windows:
-            return stacked(), rank_at
+            # with no window after the rank check, the checked rows are the answer
+            return (rows if windows == rank_at else stacked()), rank_at
         if windows > budget:
             raise RankStallError(f"rank condition unmet after {windows} windows (budget {budget})")
 
@@ -423,7 +486,7 @@ def _policy_iteration(system, stream, k_gain, config, rows_for_gain, solve):
             converged = True
             break
         p_prev = p_k
-    _euler_steps(system, stream, k_gain, config.substep, t_end=config.eval_horizon - 1e-12)
+    _rollout(system, stream, k_gain, config.substep, config.eval_horizon - 1e-12)
     traj = stream.as_trajectory(config.seed)
     total_samples = int(sum(samples_per_iter))
     return LearnerReport(

@@ -13,6 +13,7 @@ the data-driven learners.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -43,12 +44,20 @@ def svec_index_pairs(n: int):
     return [(i, j) for i in range(n) for j in range(i, n)]
 
 
+@functools.cache
+def _triu(n: int):
+    """Read-only (rows, cols) of the upper triangle in svec order, one pair per n."""
+    rows, cols = np.triu_indices(n)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def svec(mat: np.ndarray) -> np.ndarray:
-    return mat[np.triu_indices(mat.shape[0])]
+    return mat[_triu(mat.shape[0])]
 
 
 def svec_to_mat(v: np.ndarray, n: int) -> np.ndarray:
-    rows, cols = np.triu_indices(n)
+    rows, cols = _triu(n)
     out = np.zeros((n, n))
     out[rows, cols] = v
     out[cols, rows] = v
@@ -58,13 +67,13 @@ def svec_to_mat(v: np.ndarray, n: int) -> np.ndarray:
 def quad_regressor(x: np.ndarray) -> np.ndarray:
     """s(x) with s(x) . svec(P) = x'Px: x_i^2 diagonal, 2 x_i x_j off-diagonal."""
     x = np.asarray(x, dtype=float)
-    rows, cols = np.triu_indices(x.shape[-1])
+    rows, cols = _triu(x.shape[-1])
     return x[..., rows] * x[..., cols] * np.where(rows == cols, 1.0, 2.0)
 
 
 def reduce_kron_columns(mat: np.ndarray, n: int) -> np.ndarray:
     """Merge the (i,j)/(j,i) columns of an (l, n^2) Kronecker block to svec form."""
-    rows, cols = np.triu_indices(n)
+    rows, cols = _triu(n)
     out = mat[:, rows * n + cols]
     off = rows != cols
     out[:, off] += mat[:, cols[off] * n + rows[off]]
@@ -187,7 +196,7 @@ def solve_lyapunov(a_cl: np.ndarray, lam: float, m_rhs: np.ndarray) -> np.ndarra
         raise NotHurwitzError(
             f"A_cl - (lam/2)I has spectral abscissa {abscissa:.3e} >= 0"
         )
-    rows, cols = np.triu_indices(n)
+    rows, cols = _triu(n)
     basis = np.zeros((rows.size, n, n))  # one symmetric unit matrix per svec entry
     basis[np.arange(rows.size), rows, cols] = 1.0
     basis[np.arange(rows.size), cols, rows] = 1.0

@@ -21,7 +21,7 @@ from maxent_hjb import (
     solve_lyapunov,
 )
 from maxent_hjb import adaptive_dp
-from maxent_hjb.adaptive_dp import _euler_steps, _start_stream
+from maxent_hjb.adaptive_dp import _euler_steps, _rollout, _start_stream, _Stream
 from maxent_hjb.benchmarks import load_fixture
 from maxent_hjb.dynamics import DIVERGENCE_NORM, diverged, make_rng
 from maxent_hjb.errors import (
@@ -327,15 +327,27 @@ class TestRunOnPolicy:
     def test_rank_computed_once_per_data_set(self, fixture_system, monkeypatch, runner, calls):
         # off-policy: one check while collecting, one for the data set all
         # iterations reuse; on-policy: the same two per iteration
-        counted = []
-        monkeypatch.setattr(
-            adaptive_dp, "numerical_rank",
-            lambda *args: counted.append(1) or numerical_rank(*args),
-        )
-        cfg = default_config(seed=0, extra_windows=12, eval_horizon=0.0)
-        rep = runner(fixture_system, np.zeros((2, 3)), cfg)
-        assert len(rep.iterates) == 4
-        assert len(counted) == calls
+        assert count_rank_calls(fixture_system, monkeypatch, runner, extra_windows=12) == calls
+
+    @pytest.mark.parametrize("runner, calls", [(run_offpolicy, 1), (run_onpolicy, 4)])
+    def test_checked_rows_are_solved_without_extra_windows(
+        self, fixture_system, monkeypatch, runner, calls
+    ):
+        # no window after the rank check: the checked rows are solved, one SVD each
+        assert count_rank_calls(fixture_system, monkeypatch, runner, extra_windows=0) == calls
+
+
+def count_rank_calls(system, monkeypatch, runner, extra_windows):
+    """``numerical_rank`` calls of a seed-0 run, which takes four iterations."""
+    counted = []
+    monkeypatch.setattr(
+        adaptive_dp, "numerical_rank",
+        lambda *args: counted.append(1) or numerical_rank(*args),
+    )
+    cfg = default_config(seed=0, extra_windows=extra_windows, eval_horizon=0.0)
+    rep = runner(system, np.zeros((2, 3)), cfg)
+    assert len(rep.iterates) == 4
+    return len(counted)
 
 
 class TestReportShape:
@@ -493,16 +505,34 @@ def reference_rollout(system, stream, k_gain, h, eval_horizon):
         stream.append(t, x, u)
 
 
+def stream_arrays(stream):
+    """(times, states, controls) of either stream record, stacked."""
+    controls = np.vstack(stream.controls) if stream.controls else np.empty((0, 0))
+    return np.hstack(stream.times), np.vstack(stream.states), controls
+
+
 def stream_bytes(stream):
-    return (
-        np.asarray(stream.times).tobytes(),
-        np.asarray(stream.states).tobytes(),
-        np.asarray(stream.controls).tobytes(),
-    )
+    return tuple(column.tobytes() for column in stream_arrays(stream))
+
+
+ROLLOUT_REL_TOL = 1e-12
+
+
+def assert_rollout_matches(stream, ref):
+    """Same rows and byte-equal times; states and controls within
+    ROLLOUT_REL_TOL relative per row of the per-step loop."""
+    times, states, controls = stream_arrays(stream)
+    ref_times, ref_states, ref_controls = stream_arrays(ref)
+    assert len(times) == len(ref_times)
+    assert times.tobytes() == ref_times.tobytes()
+    for got, want in ((states, ref_states), (controls, ref_controls)):
+        gap = np.linalg.norm(got - want, axis=1)
+        assert np.all(gap <= ROLLOUT_REL_TOL * np.linalg.norm(want, axis=1))
 
 
 class TestEulerStepper:
-    """The shared stepper reproduces both former loops bit for bit."""
+    """The window stepper reproduces the former window loop bit for bit; the
+    block rollout matches the former per-step rollout loop within the bound."""
 
     @pytest.mark.parametrize("noise", ["gaussian", "explore", "none"])
     def test_matches_reference_loops(self, fixture_system, noise):
@@ -512,7 +542,7 @@ class TestEulerStepper:
         explore = sinusoidal_baseline(0.5, 100.0, 20, seed=4, channels=2)
         _, gaussian, stream = _start_stream(system, k_gain, cfg, None)
         noise_fn = {"gaussian": gaussian, "explore": explore, "none": None}[noise]
-        ref = _ReferenceStream(stream.states[0])
+        ref = _ReferenceStream(stream.last[1])
         chol_sigma = np.linalg.cholesky(cfg.alpha * np.linalg.inv(system.r))
         rng = make_rng(cfg.seed)
         # windows under the exploration noise; the old loop had no noise-free
@@ -521,12 +551,24 @@ class TestEulerStepper:
             _euler_steps(system, stream, k_gain, cfg.substep, noise_fn, count=cfg.n_sub)
             reference_substeps(system, ref, k_gain, chol_sigma, cfg.substep, cfg.n_sub, rng,
                                explore if noise == "explore" else None)
-        assert len(stream.times) == (1 if noise_fn is None else 71)
+        assert stream.rows == (1 if noise_fn is None else 71)
         assert stream_bytes(stream) == stream_bytes(ref)
-        _euler_steps(system, stream, k_gain, cfg.substep, t_end=cfg.eval_horizon - 1e-12)
+        _rollout(system, stream, k_gain, cfg.substep, cfg.eval_horizon - 1e-12)
         reference_rollout(system, ref, k_gain, cfg.substep, cfg.eval_horizon)
-        assert len(stream.times) == 1001
-        assert stream_bytes(stream) == stream_bytes(ref)
+        assert stream.rows == 1001
+        assert_rollout_matches(stream, ref)
+
+    def test_window_is_the_stream_tail(self, fixture_system):
+        cfg = default_config(seed=4)
+        _, gaussian, stream = _start_stream(fixture_system, np.zeros((2, 3)), cfg, None)
+        for _ in range(3):
+            times, states, controls = _euler_steps(
+                fixture_system, stream, np.zeros((2, 3)), cfg.substep, gaussian, cfg.n_sub)
+        all_times, all_states, all_controls = stream_arrays(stream)
+        assert np.array_equal(times, all_times[-11:])
+        assert np.array_equal(states, all_states[-11:])
+        # the last sample repeats the held control
+        assert np.array_equal(controls, np.vstack([all_controls[-10:], all_controls[-1:]]))
 
     @pytest.mark.parametrize("noise", ["gaussian", "none"])
     def test_divergence_at_same_index(self, noise):
@@ -539,7 +581,7 @@ class TestEulerStepper:
             if noise == "gaussian":
                 _euler_steps(system, stream, k_gain, cfg.substep, gaussian, count=10**6)
             else:
-                _euler_steps(system, stream, k_gain, cfg.substep, t_end=cfg.eval_horizon)
+                _rollout(system, stream, k_gain, cfg.substep, cfg.eval_horizon)
         with pytest.raises(DivergedTrajectoryError) as ref_err:
             if noise == "gaussian":
                 chol_sigma = np.linalg.cholesky(cfg.alpha * np.linalg.inv(system.r))
@@ -547,8 +589,35 @@ class TestEulerStepper:
                                    make_rng(cfg.seed))
             else:
                 reference_rollout(system, ref, k_gain, cfg.substep, cfg.eval_horizon)
-        assert new_err.value.step == ref_err.value.step == len(stream.times)
-        assert stream_bytes(stream) == stream_bytes(ref)
+        assert new_err.value.step == ref_err.value.step == stream.rows
+        if noise == "gaussian":
+            assert stream_bytes(stream) == stream_bytes(ref)
+        else:
+            assert_rollout_matches(stream, ref)
+
+    @pytest.mark.parametrize("a, step", [(3.0, 624), (5.0, 378), (50.0, 46)])
+    def test_scalar_rollout_diverges_where_the_loop_does(self, a, step):
+        # (1 + 0.01 a)^step is the first power beyond DIVERGENCE_NORM
+        system = HiddenLqSystem([[a]], [[1.0]], [[1.0]], [[1.0]])
+        stream, ref = _Stream(1), _ReferenceStream([1.0])
+        with pytest.raises(DivergedTrajectoryError) as new_err:
+            _rollout(system, stream, np.zeros((1, 1)), 0.01, 20.0 - 1e-12)
+        with pytest.raises(DivergedTrajectoryError) as ref_err:
+            reference_rollout(system, ref, np.zeros((1, 1)), 0.01, 20.0)
+        assert new_err.value.step == ref_err.value.step == stream.rows == step
+        assert_rollout_matches(stream, ref)
+
+    @pytest.mark.parametrize("fixture", ["n3m2", "n10m10"])
+    def test_full_horizon_at_the_oracle_gain(self, fixture):
+        prob = load_fixture(fixture, lam=1e-10, alpha=1.0)
+        k_gain = kleinman_iterate(prob).k
+        system = HiddenLqSystem(prob.a, prob.b, prob.q, prob.r)
+        cfg = default_config(eval_horizon=20.0)
+        stream, ref = _Stream(prob.n), _ReferenceStream(np.ones(prob.n))
+        _rollout(system, stream, k_gain, cfg.substep, cfg.eval_horizon - 1e-12)
+        reference_rollout(system, ref, k_gain, cfg.substep, cfg.eval_horizon)
+        assert stream.rows == 20_001
+        assert_rollout_matches(stream, ref)
 
     @pytest.mark.parametrize(
         "x",

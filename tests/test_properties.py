@@ -1,5 +1,5 @@
 """Property tests pinning the invariants of the Boltzmann-moment kernel, the
-Godunov flux and the LQ algebra."""
+Godunov flux, the LQ algebra and the learners' block rollout."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from maxent_hjb import (
     CostModel,
+    HiddenLqSystem,
     GenericRunning,
     HamiltonianContext,
     LqProblem,
@@ -19,6 +20,7 @@ from maxent_hjb import (
     soft_hamiltonian,
     soft_hamiltonian_batch,
 )
+from maxent_hjb.adaptive_dp import _euler_steps, _rollout, _Stream
 from maxent_hjb.benchmarks import vdp_control_box, vdp_plane_cost, vdp_plane_model
 from maxent_hjb.godunov import _CachedHamiltonian
 from maxent_hjb.lq import (
@@ -260,3 +262,30 @@ def test_kleinman_are_residual_on_stable_systems(n, m, seed, lam, b_scale):
     prob = LqProblem(a=a, b=b, q=np.eye(n), r=np.eye(m), lam=lam, alpha=1.0)
     sol = kleinman_iterate(prob)
     assert are_residual(prob, sol.p) <= 1e-10 * (1.0 + np.linalg.norm(sol.p) ** 2)
+
+
+@SETTINGS
+@given(
+    st.integers(1, 6),
+    st.integers(1, 3),
+    seeds,
+    st.sampled_from([1e-3, 1e-2]),
+    st.integers(1, 1500),
+)
+def test_block_rollout_matches_the_per_step_loop(n, m, seed, h, steps):
+    # a random gain K and a stable closed loop A - BK
+    a_cl, b = make_stable_system(n, m, seed)
+    k_gain = np.random.default_rng(seed).standard_normal((m, n))
+    system = HiddenLqSystem(a_cl + b @ k_gain, b, np.eye(n), np.eye(m))
+    blocked, stepped = _Stream(n), _Stream(n)
+    _rollout(system, blocked, k_gain, h, steps * h - 0.5 * h)
+    _euler_steps(system, stepped, k_gain, h, lambda t: np.zeros(m), steps)
+    assert blocked.rows == stepped.rows == steps + 1
+    assert np.hstack(blocked.times).tobytes() == np.hstack(stepped.times).tobytes()
+    states, ref_states = np.vstack(blocked.states), np.vstack(stepped.states)
+    state_norms = np.linalg.norm(ref_states, axis=1)
+    assert np.all(np.linalg.norm(states - ref_states, axis=1) <= 1e-12 * state_norms)
+    # u = -Kx can cancel to nearly zero where it changes sign, so the control
+    # gap is measured on the scale of the product, |K| |x|
+    control_gap = np.linalg.norm(np.vstack(blocked.controls) - np.vstack(stepped.controls), axis=1)
+    assert np.all(control_gap <= 1e-12 * np.linalg.norm(k_gain, 2) * state_norms[:-1])
