@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import DIVERGENCE_NORM, Trajectory, diverged, make_rng, write_json
+from .dynamics import DIVERGENCE_NORM, Trajectory, euler_rollout, make_rng, write_json
 from .errors import (
     DimensionMismatchError, DivergedTrajectoryError, RankDeficientError, RankStallError
 )
@@ -225,20 +225,15 @@ def _euler_steps(system, stream, k_gain, h, noise, count):
     repeated. The stream keeps views of these arrays.
     """
     t, x = stream.last
-    times, states, controls = [t], [x], []
-    for _ in range(count):
-        u = -(k_gain @ x) + noise(t)
-        x = x + h * system.drift(x, u)
-        t += h
-        if diverged(x):
-            stream.extend(times[1:], states[1:], controls)
-            raise DivergedTrajectoryError(stream.rows)
-        times.append(t)
-        states.append(x)
-        controls.append(u)
-    times, states, controls = map(np.asarray, (times, states, controls + controls[-1:]))
-    stream.extend(times[1:], states[1:], controls[:-1])
-    return times, states, controls
+    times = np.add.accumulate(np.r_[t, np.full(count, h)])  # in sequence, as t += h adds
+    states, controls = euler_rollout(
+        system.drift, x, h, count, lambda k, x: -(k_gain @ x) + noise(times[k])
+    )
+    times, states, controls = times[: len(states)], np.asarray(states), np.asarray(controls)
+    stream.extend(times[1:], states[1:], controls)
+    if len(states) <= count:
+        raise DivergedTrajectoryError(stream.rows)
+    return times, states, np.concatenate([controls, controls[-1:]])
 
 
 def _increment_table(d, size):

@@ -37,8 +37,8 @@ from .benchmarks import (
     vdp_plane_model,
     zero_running_cost,
 )
-from .dynamics import ControlBox, write_json, write_table
-from .errors import ConfigError, MaxEntError
+from .dynamics import ControlBox, euler_rollout, write_json, write_table
+from .errors import ConfigError, DivergedTrajectoryError, MaxEntError
 from .godunov import Grid2D, compare_solutions, godunov_solve
 from .hopf_lax import (
     HopfLaxConfig,
@@ -424,11 +424,22 @@ def _run_hjb_compare(config: ExperimentConfig, out: Path, produced: list):
 def _run_vdp_control(config: ExperimentConfig, out: Path, produced: list):
     p = config.params
     try:
-        window_steps(p["total_t"], p["window_t"], p["dt"])
+        windows, steps_per_window = window_steps(p["total_t"], p["window_t"], p["dt"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     model = vdp4_model()
     cost = vdp4_cost(alpha=p["alpha"], horizon=p["window_t"])
+    # the uncontrolled baseline first, so that a diverging one fails before any solve
+    steps, h = windows * steps_per_window, p["dt"] * p["dt"]  # the step of the controlled run
+    states, _ = euler_rollout(model.eval, VDP4_X0, h, steps, lambda k, x: np.zeros(1))
+    if len(states) <= steps:
+        raise DivergedTrajectoryError(
+            len(states),
+            f"the uncontrolled baseline diverged at step {len(states)} (t = {len(states) * h:g} s)",
+        )
+    states, times = np.asarray(states), np.add.accumulate(np.r_[0.0, np.full(steps, h)])
+    zero_controls = np.zeros((steps + 1, 1))
+    uncontrolled_cost = float(np.trapezoid(cost.running.eval(states, zero_controls), times))
     grid_q = build_grid(vdp_control_box(), p["nodes"])
     ctx = HamiltonianContext(model=model, cost=cost, alpha=p["alpha"], grid=grid_q)
     hl_config = HopfLaxConfig(
@@ -447,20 +458,7 @@ def _run_vdp_control(config: ExperimentConfig, out: Path, produced: list):
         dt=p["dt"],
         replan_every=p["replan_every"],
     )
-    controlled_cost = float(
-        np.trapezoid(
-            np.sum(np.abs(traj.states), axis=1) + np.sum(np.abs(traj.controls), axis=1),
-            traj.times,
-        )
-    )
-    x = VDP4_X0.copy()
-    h = p["dt"] ** 2
-    states = [x.copy()]
-    for _ in range(len(traj.times) - 1):
-        x = x + h * model.eval(x, np.zeros(1))
-        states.append(x.copy())
-    states = np.asarray(states)
-    uncontrolled_cost = float(np.trapezoid(np.sum(np.abs(states), axis=1), traj.times))
+    controlled_cost = float(np.trapezoid(cost.running.eval(traj.states, traj.controls), traj.times))
 
     traj_path = out / "trajectory.csv"
     traj.to_csv(traj_path)
@@ -469,7 +467,7 @@ def _run_vdp_control(config: ExperimentConfig, out: Path, produced: list):
     _write_csv(
         unc_path,
         ["t"] + [f"x_{i}" for i in range(states.shape[1])],
-        [(t, *row) for t, row in zip(traj.times, states)],
+        np.column_stack([times, states]),
     )
     produced.append(unc_path)
     summary_path = out / "summary.json"

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     DivergedTrajectoryError,
+    MaxEntError,
     NotPositiveDefiniteError,
     UnsupportedFamilyError,
 )
@@ -46,9 +47,31 @@ def write_table(path, header_line, table, sep=", "):
 
 
 def write_json(path, payload):
-    """``payload`` as ASCII JSON, indented by 2 with sorted keys."""
+    """``payload`` as strict ASCII JSON, indented by 2 with sorted keys; a NaN or
+    infinity raises MaxEntError before the file is opened."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise MaxEntError(f"{path}: {exc}") from exc
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write(text)
+
+
+def euler_rollout(field, x0, h, steps, control):
+    """Explicit Euler x_{k+1} = x_k + h field(x_k, u_k) with u_k = control(k, x_k).
+
+    Stops at the first state that fails ``diverged``. Returns the lists of states
+    x_0..x_j and of the controls u_0..u_{j-1}; j < steps means x_{j+1} diverged.
+    """
+    x, states, controls = x0, [x0], []
+    for k in range(steps):
+        u = control(k, x)
+        x = x + h * field(x, u)
+        if diverged(x):
+            break
+        states.append(x)
+        controls.append(u)
+    return states, controls
 
 
 def _as_vector(x, dim, name):
@@ -365,20 +388,11 @@ def simulate_sampled(
     x = _as_vector(np.atleast_1d(x0), model.state_dim, "x0").astype(float)
     h = dt * dt
     rng = make_rng(seed)
-    times = np.empty(steps + 1)
-    states = np.empty((steps + 1, model.state_dim))
-    controls = np.empty((steps + 1, policy.control_dim))
-    for k in range(steps + 1):
-        times[k] = k * h
-        states[k] = x
-        u = policy.sample(x, rng)
-        controls[k] = u
-        if k == steps:
-            break
-        x = x + h * model.eval(x, u)
-        if diverged(x):
-            raise DivergedTrajectoryError(k + 1)
-    return Trajectory(times=times, states=states, controls=controls, seed=seed)
+    states, controls = euler_rollout(model.eval, x, h, steps, lambda k, x: policy.sample(x, rng))
+    if len(states) <= steps:
+        raise DivergedTrajectoryError(len(states))
+    controls.append(policy.sample(states[-1], rng))
+    return Trajectory(times=np.arange(steps + 1) * h, states=states, controls=controls, seed=seed)
 
 
 def gaussian_entropy(sigma) -> float:

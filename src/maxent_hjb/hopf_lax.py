@@ -24,11 +24,13 @@ from .dynamics import (
     L1Terminal,
     QuadraticTerminal,
     Trajectory,
+    euler_rollout,
     make_rng,
     write_table,
 )
 from .errors import (
     AllCharacteristicsBlewUpError,
+    DivergedTrajectoryError,
     InfeasibleTransformError,
     MaxEntError,
 )
@@ -355,12 +357,21 @@ def _initial_simplices(v0_rows):
     return simplices
 
 
-def _pick_best(values, vertices):
+def _pick_best(values, vertices, infeasible):
     """Per query point, the lowest finite value over its starts and the vertex
     holding it; ties break lexicographically on v.
 
-    ``values`` is (points, starts) and ``vertices`` (points, starts, n).
+    ``values`` is (points, starts) and ``vertices`` (points, starts, n). A point
+    with no finite start raises InfeasibleTransformError when ``infeasible``
+    (see ``_nm_with_points``), else AllCharacteristicsBlewUpError.
     """
+    dead = int(np.sum(~np.any(np.isfinite(values), axis=1)))
+    if dead and infeasible:
+        raise InfeasibleTransformError("q* was +inf at every probed costate; max-form infeasible")
+    if dead:
+        raise AllCharacteristicsBlewUpError(
+            f"all {values.shape[1]} starts blew up at {dead} of {len(values)} query points"
+        )
     best_vals = np.empty(len(values))
     best_v = np.empty((len(values), vertices.shape[-1]))
     for i, (row, verts) in enumerate(zip(values, vertices)):
@@ -398,20 +409,11 @@ def hopf_lax_value(
     vals, verts, infeasible = _nm_with_points(
         ctx, q_spec, x[None, :], v0[None], t, n_steps, config.formula, config.simplex_iters
     )
-    finite = np.isfinite(vals[0])
-    if not np.any(finite):
-        if infeasible:
-            raise InfeasibleTransformError(
-                "q* was +inf at every probed costate; max-form is infeasible here"
-            )
-        raise AllCharacteristicsBlewUpError(
-            f"all {config.n_starts} starts blew up for t={t}"
-        )
-    best_vals, best_v = _pick_best(vals, verts)
+    best_vals, best_v = _pick_best(vals, verts, infeasible)
     return ValueEstimate(
         value=float(_sign(config.formula) * best_vals[0]),
         argmin_v=best_v[0],
-        blown_up_fraction=float(np.mean(~finite)),
+        blown_up_fraction=float(np.mean(~np.isfinite(vals[0]))),
     )
 
 
@@ -482,10 +484,10 @@ def _sweep_band(ctx, q_spec, xs, ys, rows, t, config, n_random, warm_iters):
             )
             starts = np.concatenate([warm, starts], axis=1)
         iters = config.simplex_iters if prev_v is None else warm_iters
-        vals, verts, _ = _nm_with_points(
+        vals, verts, infeasible = _nm_with_points(
             ctx, q_spec, pts, starts, t, n_steps, config.formula, iters
         )
-        best_vals, prev_v = _pick_best(vals, verts)
+        best_vals, prev_v = _pick_best(vals, verts, infeasible)
         out[:, jj] = _sign(config.formula) * best_vals
     return out
 
@@ -599,35 +601,32 @@ def receding_horizon_control(
     current state with the remaining window time, a control is sampled from the
     synthesized Boltzmann density, and the state advances with the
     sampled-control Euler integrator (step dt^2). ``replan_every`` substeps
-    share one sampled control.
+    share one sampled control. A state that fails ``diverged`` stops the run
+    with DivergedTrajectoryError.
     """
     n_windows, steps_per_window = window_steps(total_t, window_t, dt)
+    steps = n_windows * steps_per_window
     q_spec = ctx.cost.terminal
     h = dt * dt
     rng = make_rng(config.seed)
+    u = warm_v = None
+
+    def control(k, x):
+        nonlocal u, warm_v
+        k %= steps_per_window  # the substep within its window
+        if k % replan_every == 0:
+            est = hopf_lax_value(ctx, q_spec, x, window_t - k * h, config, extra_starts=warm_v)
+            warm_v = est.argmin_v[None, :]
+            u = sample_feedback(ctx, x, est.argmin_v, rng)
+        return u
+
     x = np.atleast_1d(np.asarray(x0, dtype=float))
-    times = [0.0]
-    states = [x]
-    controls = []
-    t_abs = 0.0
-    warm_v = None
-    for _ in range(n_windows):
-        u = None
-        for k in range(steps_per_window):
-            if k % replan_every == 0:
-                tau = window_t - k * h
-                est = hopf_lax_value(ctx, q_spec, x, tau, config, extra_starts=warm_v)
-                warm_v = est.argmin_v[None, :]
-                u = sample_feedback(ctx, x, est.argmin_v, rng)
-            controls.append(u)
-            x = x + h * ctx.model.eval(x, u)
-            t_abs += h
-            times.append(t_abs)
-            states.append(x)
-    controls.append(controls[-1])  # the last time point repeats the held control
+    states, controls = euler_rollout(ctx.model.eval, x, h, steps, control)
+    if len(states) <= steps:
+        raise DivergedTrajectoryError(len(states))
     return Trajectory(
-        times=np.asarray(times),
-        states=np.asarray(states),
-        controls=np.asarray(controls),
+        times=np.add.accumulate(np.r_[0.0, np.full(steps, h)]),
+        states=states,
+        controls=controls + controls[-1:],  # the last time point repeats the held control
         seed=config.seed,
     )

@@ -40,10 +40,6 @@ def svec_size(n: int) -> int:
     return n * (n + 1) // 2
 
 
-def svec_index_pairs(n: int):
-    return [(i, j) for i in range(n) for j in range(i, n)]
-
-
 @functools.cache
 def _triu(n: int):
     """Read-only (rows, cols) of the upper triangle in svec order, one pair per n."""

@@ -242,45 +242,38 @@ def standard_hamiltonian(
             lo = ax[k - 1] if k > 0 else grid.box.lower[j]
             hi = ax[k + 1] if k < len(ax) - 1 else grid.box.upper[j]
 
-            def coord_obj(vals, j=j):
-                u = np.repeat(u_best[None, :], len(vals), axis=0)
-                u[:, j] = vals
-                return _exponent(model, cost, x, p, u)[0]
+            def coord_obj(val, j=j):
+                u = u_best.copy()
+                u[j] = val
+                return _exponent(model, cost, x, p, u[None, :])[0][0]
 
-            vals, args = _golden_min_batch(coord_obj, np.array([lo]), np.array([hi]), _GOLDEN_ITERS)
-            if vals[0] < best_val:
-                best_val = float(vals[0])
-                u_best[j] = args[0]
+            val, arg = _golden_min(coord_obj, lo, hi, _GOLDEN_ITERS)
+            if val < best_val:
+                best_val = float(val)
+                u_best[j] = arg
     return -best_val
 
 
-def _golden_min_batch(evaluate, lo, hi, iters):
-    """Vectorized golden-section minimum per row; returns (values, argmins).
+def _golden_min(evaluate, lo, hi, iters):
+    """Golden-section minimum of ``evaluate`` on [lo, hi]; returns (value, argmin).
 
-    ``evaluate`` maps an array of coordinate values (one per active row) to
-    objective values. One new evaluation per iteration.
+    One new evaluation per iteration.
     """
-    a = lo.astype(float).copy()
-    b = hi.astype(float).copy()
+    a, b = float(lo), float(hi)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc = evaluate(c)
     fd = evaluate(d)
     for _ in range(iters):
-        left = fc <= fd
-        a_new = np.where(left, a, c)
-        b_new = np.where(left, d, b)
-        span = b_new - a_new
-        probe = np.where(left, b_new - _GOLDEN * span, a_new + _GOLDEN * span)
-        f_probe = evaluate(probe)
-        c_next = np.where(left, probe, d)
-        d_next = np.where(left, c, probe)
-        fc_next = np.where(left, f_probe, fd)
-        fd_next = np.where(left, fc, f_probe)
-        a, b, c, d, fc, fd = a_new, b_new, c_next, d_next, fc_next, fd_next
-    vals = np.where(fc <= fd, fc, fd)
-    args = np.where(fc <= fd, c, d)
-    return vals, args
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = evaluate(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = evaluate(d)
+    return (fc, c) if fc <= fd else (fd, d)
 
 
 def laplace_gap(

@@ -173,6 +173,57 @@ class TestVdpControlCommand:
         assert (tmp_path / "uncontrolled.csv").exists()
 
 
+    def test_diverging_baseline_fails_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        # dt 0.5: the uncontrolled Euler baseline leaves the bound at step 27 (t = 6.75 s)
+        from maxent_hjb import cli
+
+        monkeypatch.setattr(cli, "receding_horizon_control",
+                            lambda *args, **kwargs: pytest.fail("a Hopf-Lax run started"))
+        out = tmp_path / "out"
+        code = main(["vdp-control", "--total_t", "7.5", "--window_t", "2.5", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "uncontrolled baseline diverged at step 27" in err
+        assert not any(out.iterdir())
+
+
+class TestNoFiniteStart:
+    def test_hjb_compare_fails_without_artifacts(self, tmp_path, capsys):
+        # at t = 5 every start blows up at some grid points of the 9x9 surface
+        out = tmp_path / "out"
+        argv = ["hjb-compare", "--grid_n", "9", "--nodes", "8", "--n_starts", "3",
+                "--simplex_iters", "5", "--warm_iters", "3", "--t", "5", "--out", str(out)]
+        assert main(argv) == 1
+        assert "starts blew up" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+
+def reject_constant(name):
+    raise AssertionError(f"{name} in a JSON artifact")
+
+
+TINY_RUNS = {
+    "ham-sweep": {"nodes": "64"},
+    "hjb-compare": {"grid_n": "9", "nodes": "8", "n_starts": "3", "simplex_iters": "6",
+                    "warm_iters": "3"},
+    "vdp-control": {"total_t": "0.5", "window_t": "0.5", "n_starts": "2",
+                    "simplex_iters": "5", "ode_step": "0.2"},
+    "lq-exact": {},
+    "lq-onpolicy": {"max_iters": "2", "eval_horizon": "0.5"},
+    "lq-offpolicy": {"max_iters": "2", "eval_horizon": "0.5"},
+}
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("command", sorted(TINY_RUNS))
+    def test_every_json_artifact_is_strict(self, command, tmp_path):
+        run(parse_config(command, overrides={"out": str(tmp_path), **TINY_RUNS[command]}))
+        paths = sorted(tmp_path.glob("*.json"))
+        assert "manifest.json" in [p.name for p in paths] and len(paths) >= 2
+        for path in paths:
+            json.loads(path.read_text(), parse_constant=reject_constant)
+
+
 class TestMainEntry:
     def test_exit_zero_on_success(self, tmp_path, capsys):
         code = main(["ham-sweep", "--out", str(tmp_path), "--seed", "1"])

@@ -27,6 +27,7 @@ from maxent_hjb.errors import (
     NotPositiveDefiniteError,
     UnsupportedFamilyError,
 )
+from maxent_hjb.dynamics import DIVERGENCE_NORM, euler_rollout
 from maxent_hjb.soft_hamiltonian import boltzmann_density, grid_entropy
 from maxent_hjb.benchmarks import vdp_plane_model
 
@@ -168,11 +169,12 @@ class TestSimulateSampled:
         assert not np.array_equal(a.controls, c.controls)
 
     def test_divergence_reports_step(self):
+        # x_k = 61^k, so x_5 = 8.4e8 is the first state beyond the bound
         model = DynamicsModel(1, 1, Linear(a=[[60.0]], b=[[0.0]]))
         policy = GaussianPolicy(gain=[[0.0]], covariance=[[1e-12]])
         with pytest.raises(DivergedTrajectoryError) as err:
             simulate_sampled(model, policy, [1.0], dt=1.0, steps=500, seed=0)
-        assert err.value.step >= 1
+        assert err.value.step == 5
 
     def test_csv_round_trip(self, tmp_path):
         model = scalar_decay_model()
@@ -186,6 +188,43 @@ class TestSimulateSampled:
         assert np.array_equal(back[:, 1:2], traj.states)
         assert np.array_equal(back[:, 0], traj.times)
         assert np.array_equal(back[:, 2:], traj.controls)
+
+
+def reference_euler_loop(field, x0, h, steps, control):
+    """The per-step Euler loop with the norm test that ``diverged`` replaced."""
+    x = np.asarray(x0, dtype=float)
+    states, controls = [x], []
+    for k in range(steps):
+        u = control(k, x)
+        x = x + h * field(x, u)
+        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_NORM:
+            break
+        states.append(x)
+        controls.append(u)
+    return states, controls
+
+
+class TestEulerRollout:
+    @pytest.mark.parametrize("a, kept", [(3.0, 624), (5.0, 378), (50.0, 46)])
+    def test_unstable_scalar_stops_where_the_loop_does(self, a, kept):
+        # x' = a x + u with a small held control: (1 + 0.01 a)^kept first passes the bound
+        model = DynamicsModel(1, 1, Linear(a=[[a]], b=[[1.0]]))
+
+        def control(k, x):
+            return np.array([1e-3 * math.sin(k)])
+
+        states, controls = euler_rollout(model.eval, np.array([1.0]), 0.01, 2000, control)
+        ref_states, ref_controls = reference_euler_loop(model.eval, [1.0], 0.01, 2000, control)
+        assert len(states) == len(ref_states) == kept
+        assert len(controls) == len(ref_controls) == kept - 1
+        assert np.array_equal(states, ref_states)
+        assert np.array_equal(controls, ref_controls)
+
+    def test_non_finite_state_stops_the_rollout(self):
+        model = DynamicsModel(1, 1, Generic(lambda x, u: np.where(x > 1.5, np.nan, 1.0) + 0 * u))
+        states, controls = euler_rollout(model.eval, np.array([0.0]), 1.0, 10, lambda k, x: np.zeros(1))
+        assert [float(s[0]) for s in states] == [0.0, 1.0, 2.0]
+        assert len(controls) == 2
 
 
 class TestGronwallBounds:

@@ -34,7 +34,12 @@ from maxent_hjb.benchmarks import (
     vdp4_cost,
     vdp4_model,
 )
-from maxent_hjb.errors import AllCharacteristicsBlewUpError, InfeasibleTransformError, MaxEntError
+from maxent_hjb.errors import (
+    AllCharacteristicsBlewUpError,
+    DivergedTrajectoryError,
+    InfeasibleTransformError,
+    MaxEntError,
+)
 
 
 def zero_scalar_cost(alpha=1.0):
@@ -45,6 +50,11 @@ def zero_scalar_cost(alpha=1.0):
         lam=0.0,
         horizon=1.0,
     )
+
+
+def squared_field(x, u):
+    """x' = x^2 per axis, whatever the control; module-level so fork workers can pickle it."""
+    return x**2 + 0.0 * u[..., :1]
 
 
 @pytest.fixture(scope="module")
@@ -294,6 +304,22 @@ class TestValueSurface:
             value_surface(lq_ctx, lq_ctx.cost.terminal, grid, grid, 0.2, HopfLaxConfig(), **bad)
 
 
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_point_with_no_finite_start_raises(self, processes):
+        # x' = x^2 per axis: every curve from a point far enough out blows up by t = 1
+        model = DynamicsModel(2, 1, Generic(squared_field))
+        # a quadratic running cost, unlike a lambda, pickles into the fork workers
+        cost = CostModel(running=QuadraticRunning(q=np.zeros((2, 2)), r=[[1e-12]]),
+                         terminal=L1Terminal(), alpha=1.0, lam=0.0, horizon=1.0)
+        grid = build_grid(ControlBox(lower=[-1.0], upper=[1.0]), 16)
+        ctx = HamiltonianContext(model=model, cost=cost, alpha=1.0, grid=grid)
+        cfg = HopfLaxConfig(ode_step=0.05, n_starts=3, simplex_iters=4, seed=0)
+        axis = np.linspace(0.0, 3.0, 4)
+        with pytest.raises(AllCharacteristicsBlewUpError):
+            value_surface(ctx, cost.terminal, axis, axis, 1.0, cfg, warm_iters=2,
+                          n_bands=2, processes=processes)
+
+
 class TestFeedbackSynthesis:
     def test_uniform_at_zero_costate(self, channel_ctx):
         from maxent_hjb import ValueEstimate
@@ -453,6 +479,18 @@ class TestRecedingHorizon:
         cfg = HopfLaxConfig(ode_step=0.1, seed=0)
         with pytest.raises(ValueError, match="does not divide window_t"):
             receding_horizon_control(channel_ctx, [0.0], 2.5, 2.5, cfg, dt=0.7)
+
+    def test_diverging_closed_loop_raises(self):
+        # Euler with h = 1 on x' = -10 x + u maps x to -9 x + u, |u| <= 1: it leaves
+        # DIVERGENCE_NORM within 9 steps while each one-step Hopf-Lax solve stays finite
+        model = DynamicsModel(1, 1, Linear(a=[[-10.0]], b=[[1.0]]))
+        cost = zero_scalar_cost()
+        grid = build_grid(ControlBox(lower=[-1.0], upper=[1.0]), 16)
+        ctx = HamiltonianContext(model=model, cost=cost, alpha=1.0, grid=grid)
+        cfg = HopfLaxConfig(ode_step=0.25, n_starts=2, simplex_iters=3, seed=0)
+        with pytest.raises(DivergedTrajectoryError) as err:
+            receding_horizon_control(ctx, [1.0], 20.0, 1.0, cfg, dt=1.0)
+        assert err.value.step <= 9
 
     @pytest.mark.parametrize(
         "total_t, window_t, dt, expected",

@@ -27,7 +27,6 @@ from maxent_hjb.lq import (
     reduce_kron_columns,
     spectral_abscissa,
     svec,
-    svec_index_pairs,
     svec_to_mat,
 )
 
@@ -62,6 +61,11 @@ class TestSvec:
         row = np.kron(x, x)[None, :]
         reduced = reduce_kron_columns(row, 3)
         assert reduced @ svec(p) == pytest.approx(x @ p @ x)
+
+
+def svec_index_pairs(n: int):
+    """The (i, j) pairs of the upper triangle in svec order, one Python pair at a time."""
+    return [(i, j) for i in range(n) for j in range(i, n)]
 
 
 class TestSvecMatchesPairLoops:

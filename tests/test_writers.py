@@ -1,5 +1,6 @@
 """The text-table writers emit exactly the bytes of a per-value ``%.17g`` join."""
 
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 
 from maxent_hjb import Trajectory
 from maxent_hjb.cli import _write_csv
+from maxent_hjb.dynamics import write_json
+from maxent_hjb.errors import MaxEntError
 from maxent_hjb.godunov import Grid2D, GridFunction
 from maxent_hjb.hopf_lax import surface_to_csv
 from maxent_hjb.lq import save_matrix
@@ -85,3 +88,19 @@ def test_save_matrix_promotes_vectors(tmp_path):
     path = tmp_path / "vec.txt"
     save_matrix(path, [1.0, -0.0, 2.5])
     assert path.read_bytes() == b"1 3\n1 -0 2.5\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_write_json_rejects_non_finite_before_opening(tmp_path, bad):
+    path = tmp_path / "summary.json"
+    with pytest.raises(MaxEntError, match="summary.json"):
+        write_json(path, {"fine": 1.0, "nested": [0.5, bad]})
+    assert not path.exists()
+
+
+def test_write_json_matches_streamed_dump(tmp_path):
+    payload = {"b": [1.0, 0.1, None, True, -0.0], "a": {"z": 1e-300, "y": "t\u00e9xt"}}
+    write_json(tmp_path / "new.json", payload)
+    with open(tmp_path / "old.json", "w", encoding="ascii") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
