@@ -19,36 +19,48 @@ from .dynamics import (
     ControlBox,
     CostModel,
     DynamicsModel,
+    FeatureAffine,
     Generic,
     GenericRunning,
     L1Terminal,
+    SeparableRunning,
 )
 from .lq import LqProblem, load_matrix, make_stable_system, save_matrix
 
 
-def _vdp_plane_field(x, u):
+def _vdp_plane_drift(x):
     x1 = x[..., 0]
     x2 = x[..., 1]
-    uu = u[..., 0]
-    channel = uu + uu**3 / 3.0 + np.sin(uu)
-    f1 = x2
-    f2 = -2.0 * (x1**2 - 1.0) * x2 - x1 + (2.0 + np.sin(x1 * x2)) * channel
-    return np.stack(np.broadcast_arrays(f1, f2), axis=-1)
+    return np.stack([x2, -2.0 * (x1**2 - 1.0) * x2 - x1], axis=-1)
+
+
+def _vdp_input(x):
+    """b(x) of shape (..., n, 1): the gain 2 + sin(x1 x2) on x2, zero elsewhere."""
+    b = np.zeros(x.shape + (1,))
+    b[..., 1, 0] = 2.0 + np.sin(x[..., 0] * x[..., 1])
+    return b
+
+
+def _vdp_channel(u):
+    """phi(u) = u + u^3/3 + sin u, the nonlinear scalar control channel."""
+    return u + u**3 / 3.0 + np.sin(u)
 
 
 def vdp_plane_model() -> DynamicsModel:
-    """Planar Van der Pol oscillator with the nonlinear scalar control channel."""
-    return DynamicsModel(state_dim=2, control_dim=1, family=Generic(_vdp_plane_field))
+    """Planar Van der Pol oscillator with the nonlinear scalar control channel,
+    in feature form: f = a(x) + b(x) phi(u) with b(x) = (0, 2 + sin(x1 x2))'."""
+    family = FeatureAffine(_vdp_plane_drift, _vdp_input, _vdp_channel)
+    return DynamicsModel(state_dim=2, control_dim=1, family=family)
 
 
-def _abs_running(x, u):
-    return np.sum(np.abs(x), axis=-1) + np.sum(np.abs(u), axis=-1)
+def _l1_norm(v):
+    return np.sum(np.abs(v), axis=-1)
 
 
 def vdp_plane_cost(alpha: float = 1.0, horizon: float = 0.1) -> CostModel:
     """r = |x| + |u| running cost with the l1 terminal cost."""
     return CostModel(
-        running=GenericRunning(_abs_running),
+        running=SeparableRunning(_l1_norm, _l1_norm),
         terminal=L1Terminal(),
         alpha=alpha,
         lam=0.0,
@@ -60,17 +72,17 @@ def vdp_control_box() -> ControlBox:
     return ControlBox(lower=[-1.0], upper=[1.0])
 
 
-def _vdp4_field(x, u):
-    """The planar field on (x1, x2), driving the damped pair (x3, x4) through x1."""
-    plane = _vdp_plane_field(x, u)
+def _vdp4_drift(x):
+    """The planar drift on (x1, x2), driving the damped pair (x3, x4) through x1."""
+    plane = _vdp_plane_drift(x)
     x1, x3, x4 = x[..., 0], x[..., 2], x[..., 3]
-    f4 = -x3 - 0.2 * x4 + x1
-    return np.stack(np.broadcast_arrays(plane[..., 0], plane[..., 1], x4, f4), axis=-1)
+    return np.stack([plane[..., 0], plane[..., 1], x4, -x3 - 0.2 * x4 + x1], axis=-1)
 
 
 def vdp4_model() -> DynamicsModel:
     """Four-state Van der Pol variant driving a second oscillator pair."""
-    return DynamicsModel(state_dim=4, control_dim=1, family=Generic(_vdp4_field))
+    family = FeatureAffine(_vdp4_drift, _vdp_input, _vdp_channel)
+    return DynamicsModel(state_dim=4, control_dim=1, family=family)
 
 
 VDP4_X0 = np.array([0.05, 0.25, 0.0, 0.02])

@@ -83,7 +83,7 @@ SCHEMAS: dict = {
     },
     "vdp-control": {
         "alpha": (float, 1.0),
-        "total_t": (float, 20.0),
+        "total_t": (float, 5.0),
         "window_t": (float, 2.5),
         "dt": (float, 0.5),
         "replan_every": (int, 1),

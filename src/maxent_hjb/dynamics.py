@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -119,30 +120,50 @@ class ControlBox:
         )
 
 
-@dataclass(frozen=True)
-class Linear:
-    """dx/dt = A x + B u."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatchError("A must be square")
-        if b.ndim != 2 or b.shape[0] != a.shape[0]:
-            raise DimensionMismatchError("B must be n x m")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+def _identity_features(u):
+    """phi(u) = u, the features of the linear and control-affine families."""
+    return u
 
 
 @dataclass(frozen=True)
-class ControlAffine:
-    """dx/dt = f1(x) + f2(x) u with f2(x) of shape (..., n, m)."""
+class FeatureAffine:
+    """dx/dt = a(x) + b(x) phi(u) with k control features phi(u) of shape (..., k).
+
+    ``drift(x)`` returns a(x) of shape (..., n); ``input_map(x)`` returns b(x) of
+    shape (..., n, k), or one n x k array when b does not depend on x.
+
+    A value-surface sweep with worker processes pickles the model, so the three
+    callables must then be defined at module level.
+    """
 
     drift: Callable[[np.ndarray], np.ndarray]
     input_map: Callable[[np.ndarray], np.ndarray]
+    features: Callable[[np.ndarray], np.ndarray]
+
+
+def _linear_drift(a, x):
+    return x @ a.T
+
+
+def _constant_input(b, x):
+    return b
+
+
+def Linear(a, b) -> FeatureAffine:
+    """dx/dt = A x + B u."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatchError("A must be square")
+    if b.ndim != 2 or b.shape[0] != a.shape[0]:
+        raise DimensionMismatchError("B must be n x m")
+    drift, input_map = partial(_linear_drift, a), partial(_constant_input, b)
+    return FeatureAffine(drift, input_map, _identity_features)
+
+
+def ControlAffine(drift, input_map) -> FeatureAffine:
+    """dx/dt = f1(x) + f2(x) u with f2(x) of shape (..., n, m)."""
+    return FeatureAffine(drift, input_map, _identity_features)
 
 
 @dataclass(frozen=True)
@@ -158,17 +179,15 @@ class DynamicsModel:
 
     state_dim: int
     control_dim: int
-    family: Linear | ControlAffine | Generic
+    family: FeatureAffine | Generic
 
     def eval(self, x, u) -> np.ndarray:
         x = _as_vector(x, self.state_dim, "x")
         u = _as_vector(u, self.control_dim, "u")
         fam = self.family
-        if isinstance(fam, Linear):
-            return x @ fam.a.T + u @ fam.b.T
-        if isinstance(fam, ControlAffine):
-            f2u = np.matmul(fam.input_map(x), u[..., None])[..., 0]
-            return fam.drift(x) + f2u
+        if isinstance(fam, FeatureAffine):
+            bphi = np.einsum("...ik,...k->...i", fam.input_map(x), fam.features(u))
+            return fam.drift(x) + bphi
         return np.asarray(fam.field(x, u), dtype=float)
 
 
@@ -188,15 +207,26 @@ class QuadraticRunning:
         object.__setattr__(self, "r", r)
 
     def eval(self, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        xq = 0.5 * np.einsum("...i,ij,...j->...", x, self.q, x)
-        ur = 0.5 * np.einsum("...i,ij,...j->...", u, self.r, u)
-        return xq + ur
+        return self.state_part(x) + self.control_part(u)
 
     def state_part(self, x):
         x = np.asarray(x, dtype=float)
         return 0.5 * np.einsum("...i,ij,...j->...", x, self.q, x)
+
+    def control_part(self, u):
+        u = np.asarray(u, dtype=float)
+        return 0.5 * np.einsum("...i,ij,...j->...", u, self.r, u)
+
+
+@dataclass(frozen=True)
+class SeparableRunning:
+    """r(x, u) = r1(x) + r2(u) from a state callback and a control callback."""
+
+    state_part: Callable[[np.ndarray], np.ndarray]
+    control_part: Callable[[np.ndarray], np.ndarray]
+
+    def eval(self, x, u):
+        return np.asarray(self.state_part(x) + self.control_part(u), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -249,7 +279,7 @@ class GenericTerminal:
 class CostModel:
     """Running/terminal cost with temperature, discount, and horizon."""
 
-    running: QuadraticRunning | GenericRunning
+    running: QuadraticRunning | SeparableRunning | GenericRunning
     terminal: QuadraticTerminal | L1Terminal | GenericTerminal | None
     alpha: float
     lam: float = 0.0
@@ -356,13 +386,13 @@ def relaxed_drift(model: DynamicsModel, x, policy: GaussianPolicy) -> np.ndarray
     """Mean drift under the relaxed Gaussian control.
 
     Linear and control-affine fields average in closed form through the policy
-    mean -Kx; the covariance never enters. Generic fields have no closed-form
-    mean drift and are rejected.
+    mean -Kx; the covariance never enters. Generic fields and nonlinear control
+    features have no closed-form mean drift and are rejected.
     """
     fam = model.family
-    if isinstance(fam, Generic):
+    if not (isinstance(fam, FeatureAffine) and fam.features is _identity_features):
         raise UnsupportedFamilyError(
-            "relaxed drift has no closed form for a generic vector field"
+            "relaxed drift has a closed form only for a field affine in the control"
         )
     return model.eval(x, policy.mean(x))
 

@@ -6,8 +6,8 @@ costates v, a functional evaluated along the bi-characteristic curves
     gamma' = grad_p H(gamma, p),   p' = -grad_x H(gamma, p),
     gamma(t) = x,                  p(t) = v,
 
-integrated backward to s = 0 with fixed-step RK4. grad_p H comes from the
-quadrature gradient; grad_x H from central finite differences of the value.
+integrated backward to s = 0 with fixed-step RK4. grad_p H and grad_x H come
+from one kernel call per stage (see ``HamiltonianContext.value_grad_batch``).
 The optimization is a multi-start Nelder-Mead simplex, run batched so that many
 starts (and many query points, for surface dumps) share each quadrature call.
 """
@@ -15,6 +15,7 @@ starts (and many query points, for surface dumps) share each quadrature call.
 from __future__ import annotations
 
 import math
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,6 @@ from .errors import (
 from .soft_hamiltonian import HamiltonianContext
 
 BLOWUP_NORM = 1e8
-FD_STEP = 1e-6
 
 MIN_FORM = "min"
 MAX_FORM = "max"
@@ -88,22 +88,8 @@ class ValueEstimate:
 
 
 def _rhs(ctx: HamiltonianContext, gam, p):
-    """(grad_p H, -grad_x H, H, grad_x H) batched over rows.
-
-    grad_x H is evaluated with central differences of the value, stacking the
-    2n shifted states into a single quadrature call.
-    """
-    b, n = gam.shape
-    h_val, grad_p = ctx.value_grad_batch(gam, p)
-    step = FD_STEP * (1.0 + np.linalg.norm(gam, axis=1))  # (B,)
-    shifts = np.zeros((2 * n, b, n))
-    for i in range(n):
-        shifts[2 * i, :, i] = step
-        shifts[2 * i + 1, :, i] = -step
-    x_fd = (gam[None, :, :] + shifts).reshape(2 * n * b, n)
-    p_fd = np.broadcast_to(p, (2 * n, b, n)).reshape(2 * n * b, n)
-    v_fd = ctx.value_batch(x_fd, p_fd).reshape(2 * n, b)
-    grad_x = (v_fd[0::2] - v_fd[1::2]).T / (2.0 * step[:, None])
+    """(grad_p H, -grad_x H, H, grad_x H) batched over rows, from one kernel call."""
+    h_val, grad_p, grad_x = ctx.value_grad_batch(gam, p)
     return grad_p, -grad_x, h_val, grad_x
 
 
@@ -454,6 +440,13 @@ def value_surface(
     if processes > 1 and len(args) > 1:
         import multiprocessing as mp
 
+        try:
+            pickle.dumps(args)
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            raise MaxEntError(
+                "value_surface with processes > 1 pickles the context for its workers: "
+                f"the model and cost callables must be defined at module level ({exc})"
+            ) from exc
         with mp.get_context("fork").Pool(min(processes, len(args))) as pool:
             parts = pool.map(_sweep_band_star, args)
     else:

@@ -22,9 +22,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import ControlBox, CostModel, DynamicsModel
+from .dynamics import (
+    ControlBox,
+    CostModel,
+    DynamicsModel,
+    FeatureAffine,
+    QuadraticRunning,
+    SeparableRunning,
+)
 from .errors import DimensionMismatchError
 
+FD_STEP = 1e-6
 SMALL_ALPHA_WARN = 1e-3
 GRID_GAP_WARN = 1e-6
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -344,9 +352,34 @@ class HamiltonianContext:
         return v
 
     def value_grad_batch(self, x, p):
-        return soft_hamiltonian_batch(
-            self.model, self.cost, x, p, self.alpha, self.grid, want_gradient=True
-        )
+        """(H, grad_p H, grad_x H) at the (B, n) rows of x and p.
+
+        For a feature-affine field f = a(x) + b(x) phi(u) with a separable running
+        cost r1(x) + r2(u), grad_x H = -(d_x[p.a] + d_x[p'b] E_g[phi] + grad r1),
+        with E_g[phi] from the value pass; the x-derivatives are central
+        differences of those x-only callbacks, so no node axis is involved. Any
+        other model takes central differences of H itself: 2n more passes.
+        """
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        p = np.atleast_2d(np.asarray(p, dtype=float))
+        l_vals, f = _exponent(self.model, self.cost, x, p, self.grid.nodes)
+        moments = boltzmann_moments(l_vals, self.grid.weights, self.alpha, f, order=1)
+        fam, running = self.model.family, self.cost.running
+        if isinstance(fam, FeatureAffine) and isinstance(running, _SEPARABLE):
+            phi = fam.features(self.grid.nodes)  # (N, k)
+            mean_phi = moments.mass @ phi / moments.total[:, None]
+            grad_x = -_central_diff(
+                lambda xs: _state_part_of_mean_exponent(fam, running, xs, p, mean_phi), x
+            )
+        else:
+            n = x.shape[1]
+            grad_x = _central_diff(
+                lambda xs: self.value_batch(
+                    xs.reshape(-1, n), np.broadcast_to(p, xs.shape).reshape(-1, n)
+                ).reshape(xs.shape[:-1]),
+                x,
+            )
+        return moments.value, moments.gradient, grad_x
 
     def report(self, x, p, want_gradient=True, want_hessian=False) -> HamiltonianReport:
         return soft_hamiltonian(
@@ -356,3 +389,27 @@ class HamiltonianContext:
 
     def density(self, x, p) -> np.ndarray:
         return boltzmann_density(self.model, self.cost, x, p, self.alpha, self.grid)
+
+
+_SEPARABLE = (QuadraticRunning, SeparableRunning)
+
+
+def _state_part_of_mean_exponent(fam: FeatureAffine, running, x, p, mean_phi):
+    """p.(a(x) + b(x) E_g[phi]) + r1(x): E_g[L] less its x-free part, with the
+    Boltzmann mean E_g[phi] held fixed. ``p`` and ``mean_phi`` broadcast over x."""
+    mean_field = fam.drift(x) + np.einsum("...ik,...k->...i", fam.input_map(x), mean_phi)
+    return np.einsum("...i,...i->...", p, mean_field) + running.state_part(x)
+
+
+def _central_diff(fn, x):
+    """Central differences of ``fn`` in each coordinate of the (B, n) rows ``x``,
+    step FD_STEP (1 + |x|) per row, from one call of ``fn`` on the 2n shifted
+    copies of ``x`` stacked as (2n, B, n); ``fn`` returns (2n, B) values."""
+    b, n = x.shape
+    step = FD_STEP * (1.0 + np.linalg.norm(x, axis=1))  # (B,)
+    shifts = np.zeros((2 * n, b, n))
+    for i in range(n):
+        shifts[2 * i, :, i] = step
+        shifts[2 * i + 1, :, i] = -step
+    v_fd = fn(x[None, :, :] + shifts)
+    return (v_fd[0::2] - v_fd[1::2]).T / (2.0 * step[:, None])

@@ -173,6 +173,21 @@ class TestVdpControlCommand:
         assert (tmp_path / "uncontrolled.csv").exists()
 
 
+    def test_defaults_pass_the_uncontrolled_baseline(self, tmp_path, monkeypatch):
+        # the baseline is stepped first and must stay inside DIVERGENCE_NORM at the
+        # defaults; reaching the receding-horizon run shows it did, with no solve made
+        from maxent_hjb import cli
+
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(cli, "receding_horizon_control", reached)
+        with pytest.raises(Reached):
+            run(parse_config("vdp-control", overrides={"out": str(tmp_path)}))
+
     def test_diverging_baseline_fails_before_any_solve(self, tmp_path, capsys, monkeypatch):
         # dt 0.5: the uncontrolled Euler baseline leaves the bound at step 27 (t = 6.75 s)
         from maxent_hjb import cli

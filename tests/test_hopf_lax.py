@@ -27,6 +27,7 @@ from maxent_hjb import (
     value_surface,
 )
 from maxent_hjb import hopf_lax
+from maxent_hjb.dynamics import euler_rollout
 from maxent_hjb.hopf_lax import window_steps
 from maxent_hjb.benchmarks import (
     VDP4_X0,
@@ -319,6 +320,19 @@ class TestValueSurface:
             value_surface(ctx, cost.terminal, axis, axis, 1.0, cfg, warm_iters=2,
                           n_bands=2, processes=processes)
 
+    def test_unpicklable_context_is_a_typed_error(self):
+        # a lambda field cannot be sent to the fork workers: say so before forking
+        model = DynamicsModel(2, 1, Generic(lambda x, u: squared_field(x, u)))
+        cost = CostModel(running=QuadraticRunning(q=np.eye(2), r=[[1.0]]),
+                         terminal=L1Terminal(), alpha=1.0, lam=0.0, horizon=1.0)
+        grid = build_grid(ControlBox(lower=[-1.0], upper=[1.0]), 8)
+        ctx = HamiltonianContext(model=model, cost=cost, alpha=1.0, grid=grid)
+        cfg = HopfLaxConfig(ode_step=0.05, n_starts=2, simplex_iters=2, seed=0)
+        axis = np.linspace(0.0, 0.5, 3)
+        with pytest.raises(MaxEntError, match="module level"):
+            value_surface(ctx, cost.terminal, axis, axis, 0.1, cfg, warm_iters=1,
+                          n_bands=2, processes=2)
+
 
 class TestFeedbackSynthesis:
     def test_uniform_at_zero_costate(self, channel_ctx):
@@ -512,19 +526,13 @@ class TestRecedingHorizon:
         traj = receding_horizon_control(
             ctx, VDP4_X0, 5.0, 2.5, cfg, dt=0.5, replan_every=1
         )
-        run_cost = float(
-            np.trapezoid(
-                np.sum(np.abs(traj.states), axis=1) + np.sum(np.abs(traj.controls), axis=1),
-                traj.times,
-            )
+        run_cost = float(np.trapezoid(cost.running.eval(traj.states, traj.controls), traj.times))
+        # uncontrolled oracle: u = 0 rollout with the same Euler stepper and step
+        steps = len(traj.times) - 1
+        states, _ = euler_rollout(model.eval, VDP4_X0, 0.5 * 0.5, steps, lambda k, x: np.zeros(1))
+        assert len(states) == steps + 1
+        zero_controls = np.zeros((steps + 1, 1))
+        uncontrolled = float(
+            np.trapezoid(cost.running.eval(np.asarray(states), zero_controls), traj.times)
         )
-        # uncontrolled oracle: u = 0 rollout with the same integrator
-        x = VDP4_X0.copy()
-        h = 0.5**2
-        states = [x.copy()]
-        for _ in range(len(traj.times) - 1):
-            x = x + h * model.eval(x, np.zeros(1))
-            states.append(x.copy())
-        states = np.asarray(states)
-        uncontrolled = float(np.trapezoid(np.sum(np.abs(states), axis=1), traj.times))
         assert run_cost < uncontrolled

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -6,8 +7,12 @@ import pytest
 from maxent_hjb import (
     ControlBox,
     CostModel,
+    DynamicsModel,
     Generic,
     GenericRunning,
+    HamiltonianContext,
+    Linear,
+    QuadraticRunning,
     boltzmann_density,
     build_grid,
     check_grid_convergence,
@@ -17,6 +22,7 @@ from maxent_hjb import (
     soft_hamiltonian_batch,
     standard_hamiltonian,
 )
+from maxent_hjb.benchmarks import vdp4_model, vdp_control_box, vdp_plane_cost, vdp_plane_model
 
 
 def sinh_oracle(p, alpha):
@@ -292,3 +298,123 @@ class TestGridSelfCheck:
     def test_small_alpha_warns(self, channel_model, zero_cost, unit_grid):
         with pytest.warns(RuntimeWarning):
             soft_hamiltonian(channel_model, zero_cost, [0.0], [1.0], 5e-4, unit_grid)
+
+
+def _vdp_plane_reference(x, u):
+    """The planar Van der Pol field written out in one piece: the Generic twin
+    of the feature-form ``vdp_plane_model``."""
+    x1, x2, uu = x[..., 0], x[..., 1], u[..., 0]
+    channel = uu + uu**3 / 3.0 + np.sin(uu)
+    f2 = -2.0 * (x1**2 - 1.0) * x2 - x1 + (2.0 + np.sin(x1 * x2)) * channel
+    return np.stack(np.broadcast_arrays(x2, f2), axis=-1)
+
+
+def _vdp4_reference(x, u):
+    plane = _vdp_plane_reference(x, u)
+    x1, x3, x4 = x[..., 0], x[..., 2], x[..., 3]
+    f4 = -x3 - 0.2 * x4 + x1
+    return np.stack(np.broadcast_arrays(plane[..., 0], plane[..., 1], x4, f4), axis=-1)
+
+
+def _l1_running_reference(x, u):
+    return np.sum(np.abs(x), axis=-1) + np.sum(np.abs(u), axis=-1)
+
+
+def _lq_ctx(a, b, q, r, box, nodes, alpha=0.5):
+    model = DynamicsModel(len(a), len(b[0]), Linear(a=a, b=b))
+    cost = CostModel(running=QuadraticRunning(q=q, r=r), terminal=None, alpha=alpha)
+    return HamiltonianContext(model=model, cost=cost, alpha=alpha, grid=build_grid(box, nodes))
+
+
+class TestStructuralGradient:
+    """grad_x H of a feature-affine model with a separable cost, taken from the
+    value pass and the x-only callbacks instead of 2n more quadrature passes."""
+
+    A = np.array([[0.0, 1.0], [-1.0, -0.4]])
+
+    @pytest.mark.parametrize(
+        "b, q, r, lower, upper, nodes",
+        [
+            ([[0.0], [1.0]], np.eye(2), [[1.0]], [-1.0], [1.0], 4),
+            ([[0.0], [1.0]], [[2.0, 0.5], [0.5, 1.0]], [[0.3]], [-3.0], [0.5], 32),
+            ([[0.0], [1.0]], np.eye(2), [[1.0]], [-12.0], [12.0], 64),
+            ([[1.0, 0.2], [-0.5, 1.0]], [[1.0, 0.0], [0.0, 3.0]], [[1.0, 0.2], [0.2, 0.5]],
+             [-1.0, -2.0], [2.0, 1.0], 8),
+        ],
+    )
+    def test_lq_gradient_is_exact(self, b, q, r, lower, upper, nodes):
+        # d_x L = A'p + Qx does not depend on u, so neither the box nor the node
+        # count enters grad_x H = -(A'p + Qx)
+        ctx = _lq_ctx(self.A, b, q, r, ControlBox(lower=lower, upper=upper), nodes)
+        rng = np.random.default_rng(nodes)
+        x = rng.uniform(-2.0, 2.0, (200, 2))
+        p = rng.uniform(-2.0, 2.0, (200, 2))
+        _, _, grad_x = ctx.value_grad_batch(x, p)
+        exact = -(p @ self.A + x @ np.asarray(q).T)
+        assert np.max(np.abs(grad_x - exact)) <= 1e-8
+
+    def test_lq_value_matches_closed_form(self):
+        # H = -p'Ax - x'Qx/2 + p'BR^-1B'p/2 + kappa, kappa = (a m/2) log 2 pi a - (a/2) log det R,
+        # when the box covers the Gaussian mean -R^-1 B'p by many standard deviations
+        alpha, r = 0.5, 1.0
+        ctx = _lq_ctx(self.A, [[0.0], [1.0]], np.eye(2), [[r]],
+                      ControlBox(lower=[-12.0], upper=[12.0]), 64, alpha)
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-1.0, 1.0, (200, 2))
+        p = rng.uniform(-1.0, 1.0, (200, 2))
+        h, _, _ = ctx.value_grad_batch(x, p)
+        kappa = 0.5 * alpha * math.log(2.0 * math.pi * alpha) - 0.5 * alpha * math.log(r)
+        exact = (-np.einsum("bi,ij,bj->b", p, self.A, x) - 0.5 * np.sum(x * x, axis=1)
+                 + 0.5 * p[:, 1] ** 2 / r + kappa)
+        assert np.max(np.abs(h - exact)) <= 1e-10
+
+    def test_vdp_feature_form_matches_its_generic_twin(self):
+        cost = vdp_plane_cost()
+        grid = build_grid(vdp_control_box(), 32)
+        feature = HamiltonianContext(vdp_plane_model(), cost, 1.0, grid)
+        twin_cost = CostModel(running=GenericRunning(_l1_running_reference),
+                              terminal=cost.terminal, alpha=1.0, horizon=cost.horizon)
+        twin = HamiltonianContext(DynamicsModel(2, 1, Generic(_vdp_plane_reference)),
+                                  twin_cost, 1.0, grid)
+        rng = np.random.default_rng(11)
+        x = rng.uniform(-2.0, 2.0, (4000, 2))
+        p = rng.uniform(-3.0, 3.0, (4000, 2))
+        h, grad_p, grad_x = feature.value_grad_batch(x, p)
+        h_twin, grad_p_twin, grad_x_twin = twin.value_grad_batch(x, p)
+        assert np.array_equal(h, h_twin)
+        assert np.array_equal(grad_p, grad_p_twin)
+        assert np.max(np.abs(grad_x - grad_x_twin)) <= 1e-7
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_vdp_fields_equal_their_one_piece_form(self, dim):
+        model, reference = (
+            (vdp_plane_model(), _vdp_plane_reference) if dim == 2
+            else (vdp4_model(), _vdp4_reference)
+        )
+        rng = np.random.default_rng(dim)
+        x = rng.uniform(-3.0, 3.0, (500, 1, dim))
+        u = rng.uniform(-1.0, 1.0, (1, 40, 1))
+        assert np.array_equal(model.eval(x, u), reference(x, u))
+        assert np.array_equal(model.eval(x[:, 0], u[0, :1]), reference(x[:, 0], u[0, :1]))
+
+    def test_one_quadrature_pass_per_call(self, monkeypatch):
+        # the feature form passes B rows through the node axis; the Generic twin
+        # 2n + 1 times as many, for its central differences of H
+        module = importlib.import_module("maxent_hjb.soft_hamiltonian")
+        rows = []
+        exponent = module._exponent
+
+        def counted(model, cost, x, p, nodes):
+            rows.append(np.asarray(x).size // 2)
+            return exponent(model, cost, x, p, nodes)
+
+        monkeypatch.setattr(module, "_exponent", counted)
+        cost = vdp_plane_cost()
+        grid = build_grid(vdp_control_box(), 8)
+        x = np.full((10, 2), 0.3)
+        HamiltonianContext(vdp_plane_model(), cost, 1.0, grid).value_grad_batch(x, x)
+        assert rows == [10]
+        rows.clear()
+        twin = DynamicsModel(2, 1, Generic(_vdp_plane_reference))
+        HamiltonianContext(twin, cost, 1.0, grid).value_grad_batch(x, x)
+        assert sum(rows) == 10 * 5
