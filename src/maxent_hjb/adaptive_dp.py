@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import DIVERGENCE_NORM, Trajectory, euler_rollout, make_rng, write_json
+from .dynamics import Trajectory, diverged_rows, euler_rollout, make_rng, write_json
 from .errors import (
     DimensionMismatchError, DivergedTrajectoryError, RankDeficientError, RankStallError
 )
@@ -274,7 +274,7 @@ def _rollout(system, stream, k_gain, h, t_end):
             count = int(np.count_nonzero(times[:-1] < t_end))
             states = x + table[:count] @ x
             controls = -(np.concatenate([x[None], states[:-1]]) @ k_gain.T)
-            bad = ~(np.sqrt(np.einsum("ij,ij->i", states, states)) <= DIVERGENCE_NORM)
+            bad = diverged_rows(states)
             good = int(np.argmax(bad)) if bad.any() else count
             stream.extend(times[1 : good + 1], states[:good], controls[:good])
             if good < count:

@@ -279,10 +279,6 @@ def parse_config(
     return ExperimentConfig(command=command, seed=seed, output_dir=Path(output_dir), params=params)
 
 
-def _write_csv(path, header, rows):
-    write_table(path, ", ".join(header), rows)
-
-
 def _parse_vector(raw: str) -> np.ndarray:
     return np.array(_numbers(raw))
 
@@ -350,11 +346,7 @@ def _run_ham_sweep(config: ExperimentConfig, out: Path, produced: list):
     sweep = laplace_gap(model, cost, x, pvec, alphas, grid)
     h0 = standard_hamiltonian(model, cost, x, pvec, grid)
     csv_path = out / "ham_sweep.csv"
-    _write_csv(
-        csv_path,
-        ["alpha", "H_alpha", "H_tilde", "H0"],
-        [(a, h, ht, h0) for a, h, ht in sweep],
-    )
+    write_table(csv_path, "alpha, H_alpha, H_tilde, H0", [(a, h, ht, h0) for a, h, ht in sweep])
     produced.append(csv_path)
     summary = {"H0": h0, "alphas": alphas}
     if p["model"] == "channel":
@@ -464,11 +456,8 @@ def _run_vdp_control(config: ExperimentConfig, out: Path, produced: list):
     traj.to_csv(traj_path)
     produced.append(traj_path)
     unc_path = out / "uncontrolled.csv"
-    _write_csv(
-        unc_path,
-        ["t"] + [f"x_{i}" for i in range(states.shape[1])],
-        np.column_stack([times, states]),
-    )
+    header = ", ".join(["t"] + [f"x_{i}" for i in range(states.shape[1])])
+    write_table(unc_path, header, np.column_stack([times, states]))
     produced.append(unc_path)
     summary_path = out / "summary.json"
     write_json(

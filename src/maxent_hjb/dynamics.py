@@ -35,6 +35,11 @@ def diverged(x) -> bool:
     return not math.sqrt(x @ x) <= DIVERGENCE_NORM
 
 
+def diverged_rows(rows) -> np.ndarray:
+    """``diverged`` of each row of a 2-D array."""
+    return ~(np.sqrt(np.einsum("ij,ij->i", rows, rows)) <= DIVERGENCE_NORM)
+
+
 def write_table(path, header_line, table, sep=", "):
     """``header_line``, then one ``sep``-joined ``%.17g`` line per row, formatted
     a block of rows at a time so that memory stays flat on long tables."""

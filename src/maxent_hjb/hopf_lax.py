@@ -6,8 +6,10 @@ costates v, a functional evaluated along the bi-characteristic curves
     gamma' = grad_p H(gamma, p),   p' = -grad_x H(gamma, p),
     gamma(t) = x,                  p(t) = v,
 
-integrated backward to s = 0 with fixed-step RK4. grad_p H and grad_x H come
-from one kernel call per stage (see ``HamiltonianContext.value_grad_batch``).
+integrated backward to s = 0 with fixed-step RK4 in one loop over the s-nodes
+(``_integrate_batch``). Each stage is one kernel call for H, grad_p H and
+grad_x H (see ``HamiltonianContext.value_grad_batch``); the first stage's call
+also gives the functional's integrand at the node, summed by Simpson's rule.
 The optimization is a multi-start Nelder-Mead simplex, run batched so that many
 starts (and many query points, for surface dumps) share each quadrature call.
 """
@@ -25,19 +27,19 @@ from .dynamics import (
     L1Terminal,
     QuadraticTerminal,
     Trajectory,
+    diverged_rows,
     euler_rollout,
     make_rng,
     write_table,
 )
 from .errors import (
     AllCharacteristicsBlewUpError,
+    DimensionMismatchError,
     DivergedTrajectoryError,
     InfeasibleTransformError,
     MaxEntError,
 )
 from .soft_hamiltonian import HamiltonianContext
-
-BLOWUP_NORM = 1e8
 
 MIN_FORM = "min"
 MAX_FORM = "max"
@@ -87,100 +89,50 @@ class ValueEstimate:
     blown_up_fraction: float
 
 
-def _rhs(ctx: HamiltonianContext, gam, p):
-    """(grad_p H, -grad_x H, H, grad_x H) batched over rows, from one kernel call."""
-    h_val, grad_p, grad_x = ctx.value_grad_batch(gam, p)
-    return grad_p, -grad_x, h_val, grad_x
+def _integrate_batch(ctx: HamiltonianContext, x_rows, v_rows, t, n_steps, formula, path=None):
+    """Backward RK4 of the bi-characteristics of each (x, v) row, from s = t to 0.
 
+    One loop visits the s-nodes k = n_steps, ..., 0. At each node it makes the
+    first stage's kernel call, records the integrand of ``formula``
+    (``p . grad_p H - H`` for the min form, ``H - gamma . grad_x H`` for the max
+    form) and, above k = 0, takes the step; the costate moves along
+    p' = -grad_x H, so backward in s it gains (h/6)(gx1 + 2 gx2 + 2 gx3 + gx4).
+    A curve whose gamma or p fails ``diverged_rows`` after a step is flagged
+    with the s-index it reached and zeroed. ``path``, an (n_steps + 1, 2, b, n)
+    array, receives gamma and p at every node when given.
 
-class _CurveResult:
-    """Backward-integrated batch of characteristics plus running integrals."""
-
-    __slots__ = (
-        "gamma0", "p0", "integral_min", "integral_max", "blown", "blowup_step",
-        "s_grid", "gamma_path", "costate_path",
-    )
-
-
-def _integrate_batch(
-    ctx: HamiltonianContext,
-    x_rows: np.ndarray,
-    v_rows: np.ndarray,
-    t: float,
-    n_steps: int,
-    store_path: bool = False,
-) -> _CurveResult:
-    """RK4 from s=t down to s=0 with per-node integrand capture.
-
-    Captures, at every s-node, the two running integrands
-    ``p . grad_p H - H`` (min form) and ``H - gamma . grad_x H`` (max form),
-    accumulated with composite Simpson on the curve's own s-grid.
+    Returns (gamma(0), p(0), the integrand's composite Simpson integral,
+    blown, blowup_step), one entry per row.
     """
-    b, n = x_rows.shape
     h = t / n_steps
-    gam = x_rows.astype(float).copy()
-    p = v_rows.astype(float).copy()
-    blown = np.zeros(b, dtype=bool)
-    blowup_step = np.zeros(b, dtype=int)  # s-index where a curve first left the bounds
-    node_min = np.empty((b, n_steps + 1))
-    node_max = np.empty((b, n_steps + 1))
-    if store_path:
-        gam_path = np.empty((n_steps + 1, b, n))
-        cos_path = np.empty((n_steps + 1, b, n))
-        gam_path[n_steps] = gam
-        cos_path[n_steps] = p
-
-    def capture(idx, gam_k, p_k, gp, h_val, gx):
-        node_min[:, idx] = np.einsum("bi,bi->b", p_k, gp) - h_val
-        node_max[:, idx] = h_val - np.einsum("bi,bi->b", gam_k, gx)
-
+    gam = x_rows.astype(float)
+    p = v_rows.astype(float)
+    blown = np.zeros(len(gam), dtype=bool)
+    blowup_step = np.zeros(len(gam), dtype=int)
+    integrand = np.empty((len(gam), n_steps + 1))
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for k in range(n_steps, 0, -1):
-            gp1, mx1, h_val, gx1 = _rhs(ctx, gam, p)
-            capture(k, gam, p, gp1, h_val, gx1)
-            # Backward step of size h (negative direction in s).
-            k1 = (gp1, mx1)
-            g2 = gam - 0.5 * h * k1[0]
-            p2 = p - 0.5 * h * k1[1]
-            gp2, mx2, _, _ = _rhs(ctx, g2, p2)
-            g3 = gam - 0.5 * h * gp2
-            p3 = p - 0.5 * h * mx2
-            gp3, mx3, _, _ = _rhs(ctx, g3, p3)
-            g4 = gam - h * gp3
-            p4 = p - h * mx3
-            gp4, mx4, _, _ = _rhs(ctx, g4, p4)
+        for k in range(n_steps, -1, -1):
+            if path is not None:
+                path[k] = gam, p
+            h_val, gp1, gx1 = ctx.value_grad_batch(gam, p)
+            if formula == MIN_FORM:
+                integrand[:, k] = np.einsum("bi,bi->b", p, gp1) - h_val
+            else:
+                integrand[:, k] = h_val - np.einsum("bi,bi->b", gam, gx1)
+            if k == 0:
+                break
+            _, gp2, gx2 = ctx.value_grad_batch(gam - 0.5 * h * gp1, p + 0.5 * h * gx1)
+            _, gp3, gx3 = ctx.value_grad_batch(gam - 0.5 * h * gp2, p + 0.5 * h * gx2)
+            _, gp4, gx4 = ctx.value_grad_batch(gam - h * gp3, p + h * gx3)
             gam = gam - (h / 6.0) * (gp1 + 2.0 * gp2 + 2.0 * gp3 + gp4)
-            p = p - (h / 6.0) * (mx1 + 2.0 * mx2 + 2.0 * mx3 + mx4)
-            bad = ~(
-                np.all(np.isfinite(gam), axis=1)
-                & np.all(np.isfinite(p), axis=1)
-                & (np.linalg.norm(gam, axis=1) <= BLOWUP_NORM)
-                & (np.linalg.norm(p, axis=1) <= BLOWUP_NORM)
-            )
-            newly = bad & ~blown
+            p = p + (h / 6.0) * (gx1 + 2.0 * gx2 + 2.0 * gx3 + gx4)
+            newly = (diverged_rows(gam) | diverged_rows(p)) & ~blown
             if np.any(newly):
                 blown |= newly
                 blowup_step[newly] = k - 1
                 gam[blown] = 0.0
                 p[blown] = 0.0
-            if store_path:
-                gam_path[k - 1] = gam
-                cos_path[k - 1] = p
-        gp0, _, h_val0, gx0 = _rhs(ctx, gam, p)
-        capture(0, gam, p, gp0, h_val0, gx0)
-
-    res = _CurveResult()
-    res.gamma0 = gam
-    res.p0 = p
-    res.integral_min = _simpson(node_min, h)
-    res.integral_max = _simpson(node_max, h)
-    res.blown = blown
-    res.blowup_step = blowup_step
-    res.s_grid = np.linspace(0.0, t, n_steps + 1)
-    if store_path:
-        res.gamma_path = gam_path
-        res.costate_path = cos_path
-    return res
+    return gam, p, _simpson(integrand, h), blown, blowup_step
 
 
 def _simpson(values: np.ndarray, h: float) -> np.ndarray:
@@ -214,16 +166,14 @@ def integrate_characteristics(
     x = np.atleast_1d(np.asarray(x, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     n_steps = _step_count(t, config.ode_step)
-    res = _integrate_batch(ctx, x[None, :], v[None, :], t, n_steps, store_path=True)
-    blown = bool(res.blown[0])
-    gamma = res.gamma_path[:, 0, :].copy()
-    costate = res.costate_path[:, 0, :].copy()
-    gamma[-1] = x  # terminal conditions hold exactly
-    costate[-1] = v
-    blowup_s = float(res.s_grid[res.blowup_step[0]]) if blown else None
+    path = np.empty((n_steps + 1, 2, 1, len(x)))
+    *_, blown, blowup_step = _integrate_batch(
+        ctx, x[None, :], v[None, :], t, n_steps, config.formula, path
+    )
+    s_grid = np.linspace(0.0, t, n_steps + 1)
     return CharacteristicCurve(
-        s_grid=res.s_grid, gamma=gamma, costate=costate,
-        blown_up=blown, blowup_s=blowup_s,
+        s_grid=s_grid, gamma=path[:, 0, 0], costate=path[:, 1, 0],
+        blown_up=bool(blown[0]), blowup_s=float(s_grid[blowup_step[0]]) if blown[0] else None,
     )
 
 
@@ -253,21 +203,20 @@ def _legendre_batch(q_spec, v_rows):
 
 
 def _objective_batch(ctx, q_spec, x_rows, v_rows, t, n_steps, formula):
-    """Hopf-Lax functional for each (x, v) row; +/-inf on blown curves.
+    """Hopf-Lax functional for each (x, v) row; +inf (min form) or -inf (max
+    form) on blown curves and in place of NaN, so the minimizer never sees NaN.
 
     Also returns the rows whose curve survived, and the surviving rows whose
     terminal transform is finite (q* in the max form; always, in the min form).
     """
-    res = _integrate_batch(ctx, x_rows, v_rows, t, n_steps)
-    survived = ~res.blown
+    gamma0, p0, integral, blown, _ = _integrate_batch(ctx, x_rows, v_rows, t, n_steps, formula)
+    survived = ~blown
     if formula == MIN_FORM:
-        vals = q_spec.eval(res.gamma0) + res.integral_min
-        vals = np.where(res.blown, math.inf, vals)
-        return np.where(np.isnan(vals), math.inf, vals), survived, survived
-    qstar = _legendre_batch(q_spec, res.p0)
-    vals = np.einsum("bi,bi->b", x_rows, v_rows) - qstar - res.integral_max
-    vals = np.where(res.blown, -math.inf, vals)
-    return np.where(np.isnan(vals), -math.inf, vals), survived, survived & (qstar < math.inf)
+        vals = q_spec.eval(gamma0) + integral
+        return np.where(blown | np.isnan(vals), math.inf, vals), survived, survived
+    qstar = _legendre_batch(q_spec, p0)
+    vals = np.einsum("bi,bi->b", x_rows, v_rows) - qstar - integral
+    return np.where(blown | np.isnan(vals), -math.inf, vals), survived, survived & (qstar < math.inf)
 
 
 def _nelder_mead_batch(objective_rows, simplices, iters, owners):
@@ -275,12 +224,11 @@ def _nelder_mead_batch(objective_rows, simplices, iters, owners):
 
     ``objective_rows(v_rows, owner_idx)`` evaluates vertex rows, where
     ``owner_idx`` names the query point each row belongs to (so one call can
-    optimize many points at once). Returns the per-simplex best vertex and
-    value after ``iters`` iterations.
+    optimize many points at once); it returns +inf, never NaN, for a bad row.
+    Returns the per-simplex best vertex and value after ``iters`` iterations.
     """
     b, k1, k = simplices.shape
-    vals = objective_rows(simplices.reshape(b * k1, k), np.repeat(owners, k1))
-    vals = np.where(np.isnan(vals), math.inf, vals).reshape(b, k1)
+    vals = objective_rows(simplices.reshape(b * k1, k), np.repeat(owners, k1)).reshape(b, k1)
     for _ in range(iters):
         order = np.argsort(vals, axis=1)
         vals = np.take_along_axis(vals, order, axis=1)
@@ -291,7 +239,6 @@ def _nelder_mead_batch(objective_rows, simplices, iters, owners):
         direction = centroid - worst
         xr = centroid + direction
         fr = objective_rows(xr, owners)
-        fr = np.where(np.isnan(fr), math.inf, fr)
 
         expand = fr < best_v
         con_out = (~expand) & (fr >= second_worst) & (fr < worst_v)
@@ -302,7 +249,6 @@ def _nelder_mead_batch(objective_rows, simplices, iters, owners):
                      centroid + 0.5 * direction),
         )
         fs = objective_rows(second, owners)
-        fs = np.where(np.isnan(fs), math.inf, fs)
 
         new_vertex = xr.copy()
         new_val = fr.copy()
@@ -318,9 +264,8 @@ def _nelder_mead_batch(objective_rows, simplices, iters, owners):
             idx = np.where(shrink)[0]
             shrunk = simplices[idx, :1] + 0.5 * (simplices[idx, 1:] - simplices[idx, :1])
             fsh = objective_rows(shrunk.reshape(-1, k), np.repeat(owners[idx], k))
-            fsh = np.where(np.isnan(fsh), math.inf, fsh).reshape(len(idx), k)
             simplices[idx, 1:] = shrunk
-            vals[idx, 1:] = fsh
+            vals[idx, 1:] = fsh.reshape(len(idx), k)
     order = np.argsort(vals, axis=1)
     vals = np.take_along_axis(vals, order, axis=1)
     simplices = np.take_along_axis(simplices, order[:, :, None], axis=1)
@@ -390,6 +335,10 @@ def hopf_lax_value(
     v0 = _ball_samples(rng, config.n_starts, x.shape[0], config.start_radius)
     if extra_starts is not None:
         extra = np.atleast_2d(np.asarray(extra_starts, dtype=float))
+        if extra.ndim != 2 or extra.shape[1] != len(x):
+            raise DimensionMismatchError(
+                f"extra_starts rows must have the width {len(x)} of x, got shape {extra.shape}"
+            )
         v0 = np.concatenate([extra, v0], axis=0)
 
     vals, verts, infeasible = _nm_with_points(

@@ -46,7 +46,6 @@ class QuadratureGrid:
     nodes: np.ndarray  # (N, m), the C-order tensor product of ``axes``
     weights: np.ndarray  # (N,)
     nodes_per_dim: int
-    rule: str
     box: ControlBox
     axes: tuple[np.ndarray, ...]  # ascending 1-D nodes per control axis
 
@@ -61,26 +60,9 @@ def _gauss_legendre_1d(lo, hi, n):
     return lo + half * (xs + 1.0), half * ws
 
 
-def _trapezoid_1d(lo, hi, n):
-    xs = np.linspace(lo, hi, n)
-    ws = np.full(n, (hi - lo) / (n - 1))
-    ws[0] *= 0.5
-    ws[-1] *= 0.5
-    return xs, ws
-
-
-def build_grid(box: ControlBox, nodes_per_dim: int = 64, rule: str = "gauss_legendre") -> QuadratureGrid:
-    """Tensor-product quadrature over the box.
-
-    Gauss-Legendre is the default (tensorized up to m=3); the trapezoid rule is
-    available for higher control dimensions or kinked integrands.
-    """
-    if rule not in ("gauss_legendre", "trapezoid"):
-        raise ValueError(f"unknown quadrature rule {rule!r}")
-    if rule == "gauss_legendre" and box.dim > 3:
-        rule = "trapezoid"
-    one_d = _gauss_legendre_1d if rule == "gauss_legendre" else _trapezoid_1d
-    per_axis = [one_d(lo, hi, nodes_per_dim) for lo, hi in zip(box.lower, box.upper)]
+def build_grid(box: ControlBox, nodes_per_dim: int = 64) -> QuadratureGrid:
+    """Tensor product of ``nodes_per_dim``-point Gauss-Legendre rules over the box."""
+    per_axis = [_gauss_legendre_1d(lo, hi, nodes_per_dim) for lo, hi in zip(box.lower, box.upper)]
     axes, axis_weights = zip(*per_axis)
     mesh = np.meshgrid(*axes, indexing="ij")
     nodes = np.stack([m.ravel() for m in mesh], axis=-1)
@@ -91,7 +73,6 @@ def build_grid(box: ControlBox, nodes_per_dim: int = 64, rule: str = "gauss_lege
         nodes=nodes,
         weights=np.asarray(weights).ravel(),
         nodes_per_dim=nodes_per_dim,
-        rule=rule,
         box=box,
         axes=axes,
     )
@@ -319,12 +300,11 @@ def check_grid_convergence(
     alpha: float,
     box: ControlBox,
     nodes_per_dim: int = 64,
-    rule: str = "gauss_legendre",
 ) -> float:
     """Relative gap between the configured grid and a doubled one; warns above
     GRID_GAP_WARN."""
-    coarse = build_grid(box, nodes_per_dim, rule)
-    fine = build_grid(box, 2 * nodes_per_dim, rule)
+    coarse = build_grid(box, nodes_per_dim)
+    fine = build_grid(box, 2 * nodes_per_dim)
     hc, _ = soft_hamiltonian_batch(model, cost, x, p, alpha, coarse)
     hf, _ = soft_hamiltonian_batch(model, cost, x, p, alpha, fine)
     gap = float(np.max(np.abs(hc - hf) / (1.0 + np.abs(hf))))

@@ -23,7 +23,7 @@ from maxent_hjb import (
 from maxent_hjb import adaptive_dp
 from maxent_hjb.adaptive_dp import _euler_steps, _rollout, _start_stream, _Stream
 from maxent_hjb.benchmarks import load_fixture
-from maxent_hjb.dynamics import DIVERGENCE_NORM, diverged, make_rng
+from maxent_hjb.dynamics import DIVERGENCE_NORM, diverged, diverged_rows, make_rng
 from maxent_hjb.errors import (
     DimensionMismatchError,
     DivergedTrajectoryError,
@@ -629,3 +629,12 @@ class TestEulerStepper:
         with np.errstate(over="ignore"):
             old = not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_NORM
             assert diverged(x) == old
+
+    def test_row_predicate_matches_the_state_predicate(self):
+        rows = np.array(
+            [[0.0, 0.0], [1e8, 0.0], [1e8 * (1 + 2**-52), 0.0], [0.0, -2e8], [math.nan, 0.0],
+             [0.0, math.inf], [-math.inf, 1.0], [math.nan, math.inf], [1e200, 0.0],
+             [6e7, 8e7], [6e7, 8.0000001e7], [-1e-300, 5e7]]
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert diverged_rows(rows).tolist() == [diverged(row) for row in rows]

@@ -37,6 +37,7 @@ from maxent_hjb.benchmarks import (
 )
 from maxent_hjb.errors import (
     AllCharacteristicsBlewUpError,
+    DimensionMismatchError,
     DivergedTrajectoryError,
     InfeasibleTransformError,
     MaxEntError,
@@ -275,6 +276,12 @@ class TestHopfLaxValue:
         )
         with pytest.raises((InfeasibleTransformError, AllCharacteristicsBlewUpError)):
             hopf_lax_value(channel_ctx, L1Terminal(), [0.2], 0.2, cfg)
+
+    @pytest.mark.parametrize("extra", [[[1.0, 2.0, 3.0]], [0.5], [[[0.1, 0.2]]]])
+    def test_extra_starts_of_the_wrong_width_rejected(self, lq_ctx, extra):
+        cfg = HopfLaxConfig(ode_step=0.1, n_starts=2, simplex_iters=2)
+        with pytest.raises(DimensionMismatchError, match="extra_starts"):
+            hopf_lax_value(lq_ctx, lq_ctx.cost.terminal, [0.3, 0.9], 0.3, cfg, extra_starts=extra)
 
 
 class TestValueSurface:

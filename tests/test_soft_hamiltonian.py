@@ -37,15 +37,13 @@ def sinh_oracle(p, alpha):
 class TestQuadratureGrid:
     def test_weights_sum_to_volume(self):
         box = ControlBox(lower=[-1.0, 0.0], upper=[1.0, 2.0])
-        for rule in ("gauss_legendre", "trapezoid"):
-            grid = build_grid(box, 16, rule)
-            assert np.sum(grid.weights) == pytest.approx(box.volume, rel=1e-12)
-            assert all(box.contains(node) for node in grid.nodes)
+        grid = build_grid(box, 16)
+        assert np.sum(grid.weights) == pytest.approx(box.volume, rel=1e-12)
+        assert all(box.contains(node) for node in grid.nodes)
 
-    def test_high_dim_falls_back_to_trapezoid(self):
+    def test_high_dim_is_a_full_tensor_grid(self):
         box = ControlBox(lower=[-1.0] * 4, upper=[1.0] * 4)
         grid = build_grid(box, 5)
-        assert grid.rule == "trapezoid"
         assert grid.size == 5**4
 
 

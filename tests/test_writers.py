@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from maxent_hjb import Trajectory
-from maxent_hjb.cli import _write_csv
-from maxent_hjb.dynamics import write_json
+from maxent_hjb.dynamics import write_json, write_table
 from maxent_hjb.errors import MaxEntError
 from maxent_hjb.godunov import Grid2D, GridFunction
 from maxent_hjb.hopf_lax import surface_to_csv
@@ -72,7 +71,7 @@ def test_cli_write_csv(tmp_path):
     table = awkward_table(1500, 4)
     rows = [tuple(row) for row in table]
     path = tmp_path / "sweep.csv"
-    _write_csv(path, ["alpha", "H_alpha", "H_tilde", "H0"], rows)
+    write_table(path, "alpha, H_alpha, H_tilde, H0", rows)  # the call ham-sweep makes
     assert path.read_bytes() == legacy_table("alpha, H_alpha, H_tilde, H0", rows)
 
 
