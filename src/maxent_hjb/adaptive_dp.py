@@ -44,8 +44,8 @@ class LearnerConfig:
     n_sub: int = 10
     alpha: float = 1.0
     lam: float = 1e-10
-    eps_stop: float = 1e-6
-    max_iters: int = 50
+    eps_stop: float = 2e-2
+    max_iters: int = 25
     seed: int = 0
     extra_windows: int = 0
     eval_horizon: float = 20.0

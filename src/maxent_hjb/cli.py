@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -99,20 +99,21 @@ SCHEMAS: dict = {
         "alpha": (float, 1.0),
         "tol": (float, 1e-12),
     },
+    # the learners' keys are LearnerConfig's fields bar the seed, with its defaults
     "lq-onpolicy": {
         "fixture": (str, "n3m2"),
-        "alpha": (float, 1.0),
-        "lam": (float, 1e-10),
-        "delta_t": (float, 0.01),
-        "n_sub": (int, 10),
-        "eps_stop": (float, 2e-2),
-        "max_iters": (int, 25),
-        "extra_windows": (int, 0),
-        "eval_horizon": (float, 20.0),
-        "settle_band": (float, 1.0),
+        **{f.name: (type(f.default), f.default) for f in fields(LearnerConfig) if f.name != "seed"},
     },
 }
 SCHEMAS["lq-offpolicy"] = dict(SCHEMAS["lq-onpolicy"])
+
+# ham-sweep model -> (dynamics, running cost, control box)
+_HAM_MODELS = {
+    "channel": lambda: (
+        linear_channel_model(), zero_running_cost(), ControlBox(lower=[-1.0], upper=[1.0])
+    ),
+    "vdp": lambda: (vdp_plane_model(), vdp_plane_cost(), vdp_control_box()),
+}
 
 
 def _numbers(raw: str):
@@ -134,6 +135,7 @@ _VALIDATORS = {
     "alphas": _check_alphas,
     "x": lambda v: _numbers(v) is not None or "x must be comma-separated numbers",
     "p": lambda v: _numbers(v) is not None or "p must be comma-separated numbers",
+    "model": lambda v: v in _HAM_MODELS or "model must be one of " + ", ".join(_HAM_MODELS),
     "alpha": lambda v: v > 0 or "alpha must be > 0",
     "t": lambda v: v > 0 or "t must be > 0",
     "grid_n": lambda v: v >= 8 or "grid_n must be >= 8",
@@ -181,13 +183,7 @@ class RunManifest:
     outputs: list
 
     def to_json(self, path):
-        write_json(path, {
-            "command": self.command,
-            "config": self.config,
-            "version": self.version,
-            "duration_s": self.duration_s,
-            "outputs": self.outputs,
-        })
+        write_json(path, asdict(self))
 
     def verify(self, base_dir) -> bool:
         for entry in self.outputs:
@@ -213,11 +209,9 @@ def _coerce(command: str, key: str, raw: str, where: str):
         value = typ(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key!r} ({where}): {raw!r} is not {typ.__name__}") from exc
-    check = _VALIDATORS.get(key)
-    if check is not None:
-        verdict = check(value)
-        if verdict is not True:
-            raise ConfigError(f"invalid {key!r} ({where}): {verdict}")
+    verdict = _VALIDATORS[key](value)
+    if verdict is not True:
+        raise ConfigError(f"invalid {key!r} ({where}): {verdict}")
     return value
 
 
@@ -322,21 +316,19 @@ def run(config: ExperimentConfig) -> RunManifest:
     return manifest
 
 
+def _artifact(produced: list, path: Path, write, *args):
+    """``write(path, *args)``, with the path registered first for the manifest and
+    for the cleanup of a failed run."""
+    produced.append(path)
+    write(path, *args)
+
+
 def _run_ham_sweep(config: ExperimentConfig, out: Path, produced: list):
     p = config.params
     alphas = sorted(_numbers(p["alphas"]), reverse=True)
     x = _parse_vector(p["x"])
     pvec = _parse_vector(p["p"])
-    if p["model"] == "channel":
-        model = linear_channel_model()
-        cost = zero_running_cost()
-        box = ControlBox(lower=[-1.0], upper=[1.0])
-    elif p["model"] == "vdp":
-        model = vdp_plane_model()
-        cost = vdp_plane_cost()
-        box = vdp_control_box()
-    else:
-        raise ConfigError(f"unknown model {p['model']!r}; valid: channel, vdp")
+    model, cost, box = _HAM_MODELS[p["model"]]()
     for key, vec in (("x", x), ("p", pvec)):
         if vec.size != model.state_dim:
             raise ConfigError(
@@ -345,9 +337,8 @@ def _run_ham_sweep(config: ExperimentConfig, out: Path, produced: list):
     grid = build_grid(box, p["nodes"])
     sweep = laplace_gap(model, cost, x, pvec, alphas, grid)
     h0 = standard_hamiltonian(model, cost, x, pvec, grid)
-    csv_path = out / "ham_sweep.csv"
-    write_table(csv_path, "alpha, H_alpha, H_tilde, H0", [(a, h, ht, h0) for a, h, ht in sweep])
-    produced.append(csv_path)
+    rows = [(a, h, ht, h0) for a, h, ht in sweep]
+    _artifact(produced, out / "ham_sweep.csv", write_table, "alpha, H_alpha, H_tilde, H0", rows)
     summary = {"H0": h0, "alphas": alphas}
     if p["model"] == "channel":
         errs = [
@@ -355,9 +346,7 @@ def _run_ham_sweep(config: ExperimentConfig, out: Path, produced: list):
             for a, h, _ in sweep
         ]
         summary["max_abs_err_vs_closed_form"] = max(errs)
-    summary_path = out / "summary.json"
-    write_json(summary_path, summary)
-    produced.append(summary_path)
+    _artifact(produced, out / "summary.json", write_json, summary)
 
 
 def _threads() -> int:
@@ -371,16 +360,11 @@ def _threads() -> int:
     return threads
 
 
-def _run_hjb_compare(config: ExperimentConfig, out: Path, produced: list):
+def _hopf_lax_setup(config: ExperimentConfig, model, cost):
+    """The quadrature context and the Hopf-Lax settings of both HJB commands."""
     p = config.params
-    processes = _threads()
-    model = vdp_plane_model()
-    cost = vdp_plane_cost(alpha=p["alpha"], horizon=p["t"])
     grid_q = build_grid(vdp_control_box(), p["nodes"])
     ctx = HamiltonianContext(model=model, cost=cost, alpha=p["alpha"], grid=grid_q)
-    d = p["domain"]
-    grid = Grid2D(-d, d, -d, d, p["grid_n"], p["grid_n"])
-    godunov = godunov_solve(ctx, cost.terminal, grid, p["t"], cfl=p["cfl"])
     hl_config = HopfLaxConfig(
         ode_step=p["ode_step"],
         n_starts=p["n_starts"],
@@ -388,29 +372,26 @@ def _run_hjb_compare(config: ExperimentConfig, out: Path, produced: list):
         simplex_iters=p["simplex_iters"],
         seed=config.seed,
     )
+    return ctx, hl_config
+
+
+def _run_hjb_compare(config: ExperimentConfig, out: Path, produced: list):
+    p = config.params
+    processes = _threads()
+    cost = vdp_plane_cost(alpha=p["alpha"], horizon=p["t"])
+    ctx, hl_config = _hopf_lax_setup(config, vdp_plane_model(), cost)
+    d = p["domain"]
+    grid = Grid2D(-d, d, -d, d, p["grid_n"], p["grid_n"])
+    godunov = godunov_solve(ctx, cost.terminal, grid, p["t"], cfl=p["cfl"])
     surface = value_surface(
-        ctx,
-        cost.terminal,
-        grid.xs,
-        grid.ys,
-        p["t"],
-        hl_config,
-        n_random=p["n_random"],
-        n_bands=p["n_bands"],
-        processes=processes,
-        warm_iters=p["warm_iters"],
+        ctx, cost.terminal, grid.xs, grid.ys, p["t"], hl_config, n_random=p["n_random"],
+        n_bands=p["n_bands"], processes=processes, warm_iters=p["warm_iters"],
     )
     report = compare_solutions(godunov, lambda pts: surface.ravel(), b_time=p["t"])
 
-    godunov_path = out / "godunov.csv"
-    godunov.to_csv(godunov_path)
-    produced.append(godunov_path)
-    hopf_path = out / "hopflax.csv"
-    surface_to_csv(hopf_path, grid.xs, grid.ys, surface)
-    produced.append(hopf_path)
-    summary_path = out / "summary.json"
-    write_json(summary_path, report)
-    produced.append(summary_path)
+    _artifact(produced, out / "godunov.csv", godunov.to_csv)
+    _artifact(produced, out / "hopflax.csv", surface_to_csv, grid.xs, grid.ys, surface)
+    _artifact(produced, out / "summary.json", write_json, report)
 
 
 def _run_vdp_control(config: ExperimentConfig, out: Path, produced: list):
@@ -432,67 +413,39 @@ def _run_vdp_control(config: ExperimentConfig, out: Path, produced: list):
     states, times = np.asarray(states), np.add.accumulate(np.r_[0.0, np.full(steps, h)])
     zero_controls = np.zeros((steps + 1, 1))
     uncontrolled_cost = float(np.trapezoid(cost.running.eval(states, zero_controls), times))
-    grid_q = build_grid(vdp_control_box(), p["nodes"])
-    ctx = HamiltonianContext(model=model, cost=cost, alpha=p["alpha"], grid=grid_q)
-    hl_config = HopfLaxConfig(
-        ode_step=p["ode_step"],
-        n_starts=p["n_starts"],
-        start_radius=p["start_radius"],
-        simplex_iters=p["simplex_iters"],
-        seed=config.seed,
-    )
+    ctx, hl_config = _hopf_lax_setup(config, model, cost)
     traj = receding_horizon_control(
-        ctx,
-        VDP4_X0,
-        p["total_t"],
-        p["window_t"],
-        hl_config,
-        dt=p["dt"],
+        ctx, VDP4_X0, p["total_t"], p["window_t"], hl_config, dt=p["dt"],
         replan_every=p["replan_every"],
     )
     controlled_cost = float(np.trapezoid(cost.running.eval(traj.states, traj.controls), traj.times))
 
-    traj_path = out / "trajectory.csv"
-    traj.to_csv(traj_path)
-    produced.append(traj_path)
-    unc_path = out / "uncontrolled.csv"
+    _artifact(produced, out / "trajectory.csv", traj.to_csv)
     header = ", ".join(["t"] + [f"x_{i}" for i in range(states.shape[1])])
-    write_table(unc_path, header, np.column_stack([times, states]))
-    produced.append(unc_path)
-    summary_path = out / "summary.json"
-    write_json(
-        summary_path,
-        {
-            "controlled_running_cost": controlled_cost,
-            "uncontrolled_running_cost": uncontrolled_cost,
-            "improved": controlled_cost < uncontrolled_cost,
-        },
-    )
-    produced.append(summary_path)
+    _artifact(produced, out / "uncontrolled.csv", write_table, header,
+              np.column_stack([times, states]))
+    summary = {
+        "controlled_running_cost": controlled_cost,
+        "uncontrolled_running_cost": uncontrolled_cost,
+        "improved": controlled_cost < uncontrolled_cost,
+    }
+    _artifact(produced, out / "summary.json", write_json, summary)
 
 
 def _run_lq_exact(config: ExperimentConfig, out: Path, produced: list):
     p = config.params
     prob = load_fixture(p["fixture"], lam=p["lam"], alpha=p["alpha"])
     sol = kleinman_iterate(prob, tol=p["tol"])
-    p_path = out / "P.txt"
-    save_matrix(p_path, sol.p)
-    produced.append(p_path)
-    k_path = out / "K.txt"
-    save_matrix(k_path, sol.k)
-    produced.append(k_path)
-    summary_path = out / "summary.json"
-    write_json(
-        summary_path,
-        {
-            "fixture": p["fixture"],
-            "iterations": sol.iterations,
-            "are_residual": sol.residual,
-            "p_norm": float(np.linalg.norm(sol.p)),
-            "k_norm": float(np.linalg.norm(sol.k)),
-        },
-    )
-    produced.append(summary_path)
+    _artifact(produced, out / "P.txt", save_matrix, sol.p)
+    _artifact(produced, out / "K.txt", save_matrix, sol.k)
+    summary = {
+        "fixture": p["fixture"],
+        "iterations": sol.iterations,
+        "are_residual": sol.residual,
+        "p_norm": float(np.linalg.norm(sol.p)),
+        "k_norm": float(np.linalg.norm(sol.k)),
+    }
+    _artifact(produced, out / "summary.json", write_json, summary)
 
 
 def _run_lq_learner(config: ExperimentConfig, out: Path, produced: list):
@@ -501,42 +454,25 @@ def _run_lq_learner(config: ExperimentConfig, out: Path, produced: list):
     oracle = kleinman_iterate(prob)
     system = HiddenLqSystem(prob.a, prob.b, prob.q, prob.r)
     learner_cfg = LearnerConfig(
-        delta_t=p["delta_t"],
-        n_sub=p["n_sub"],
-        alpha=p["alpha"],
-        lam=p["lam"],
-        eps_stop=p["eps_stop"],
-        max_iters=p["max_iters"],
-        seed=config.seed,
-        extra_windows=p["extra_windows"],
-        eval_horizon=p["eval_horizon"],
-        settle_band=p["settle_band"],
+        seed=config.seed, **{key: value for key, value in p.items() if key != "fixture"}
     )
     runner = run_onpolicy if config.command == "lq-onpolicy" else run_offpolicy
     report = runner(system, np.zeros((prob.m, prob.n)), learner_cfg)
     rel_err = float(np.linalg.norm(report.p_final - oracle.p) / np.linalg.norm(oracle.p))
 
-    report_path = out / "report.json"
-    report.to_json(report_path)
-    produced.append(report_path)
-    traj_path = out / "trajectory.csv"
-    report.trajectory.to_csv(traj_path)
-    produced.append(traj_path)
-    summary_path = out / "summary.json"
+    _artifact(produced, out / "report.json", report.to_json)
+    _artifact(produced, out / "trajectory.csv", report.trajectory.to_csv)
     settling = report.settling_time if math.isfinite(report.settling_time) else None
-    write_json(
-        summary_path,
-        {
-            "fixture": p["fixture"],
-            "converged": report.converged,
-            "relative_p_error": rel_err,
-            "total_samples": report.total_samples,
-            "learning_time": report.learning_time,
-            "settling_time": settling,
-            "total_running_cost": report.total_running_cost,
-        },
-    )
-    produced.append(summary_path)
+    summary = {
+        "fixture": p["fixture"],
+        "converged": report.converged,
+        "relative_p_error": rel_err,
+        "total_samples": report.total_samples,
+        "learning_time": report.learning_time,
+        "settling_time": settling,
+        "total_running_cost": report.total_running_cost,
+    }
+    _artifact(produced, out / "summary.json", write_json, summary)
 
 
 def main(argv=None) -> int:
@@ -554,20 +490,21 @@ def main(argv=None) -> int:
         overrides["seed"] = args.seed
     if args.out is not None:
         overrides["out"] = args.out
-    key = None
+    flag = None
     for token in rest:
-        if token.startswith("--"):
-            if key is not None:
-                overrides[key] = "true"
-            key = token[2:].replace("-", "_")
-        elif key is not None:
-            overrides[key] = token
-            key = None
-        else:
+        if flag is None and not token.startswith("--"):
             print(f"error: unexpected argument {token!r}", file=sys.stderr)
             return 2
-    if key is not None:
-        overrides[key] = "true"
+        if flag is None:
+            flag = token
+        elif token.startswith("--"):
+            break
+        else:
+            overrides[flag[2:].replace("-", "_")] = token
+            flag = None
+    if flag is not None:
+        print(f"config error: flag {flag} needs a value", file=sys.stderr)
+        return 2
 
     try:
         config = parse_config(args.command, path=args.config, overrides=overrides)

@@ -206,8 +206,7 @@ class QuadraticRunning:
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
         r = np.asarray(self.r, dtype=float)
-        _require_symmetric(r, "R")
-        _cholesky_or_raise(r, "R")
+        _require_spd(r, "R")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "r", r)
 
@@ -252,8 +251,7 @@ class QuadraticTerminal:
 
     def __post_init__(self):
         m = np.asarray(self.m, dtype=float)
-        _require_symmetric(m, "M")
-        _cholesky_or_raise(m, "M")
+        _require_spd(m, "M")
         object.__setattr__(self, "m", m)
 
     def eval(self, x):
@@ -299,13 +297,17 @@ class CostModel:
             raise ValueError("horizon must be > 0 (math.inf for infinite)")
 
 
-def _require_symmetric(m, name, rtol=1e-12):
-    scale = np.linalg.norm(m)
-    if scale > 0 and np.linalg.norm(m - m.T) > rtol * scale * 10:
+def _require_symmetric(m, name):
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or (
+        np.linalg.norm(m - m.T) > 1e-10 * max(1.0, np.linalg.norm(m))
+    ):
         raise NotPositiveDefiniteError(f"{name} is not symmetric")
 
 
-def _cholesky_or_raise(m, name):
+def _require_spd(m, name):
+    """The Cholesky factor of ``m``, once ``m`` is symmetric; Cholesky reads one
+    triangle only, so the symmetry test comes first."""
+    _require_symmetric(m, name)
     try:
         return np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
@@ -325,10 +327,7 @@ class GaussianPolicy:
         cov = np.atleast_2d(np.asarray(self.covariance, dtype=float))
         if cov.shape[0] != cov.shape[1] or cov.shape[0] != gain.shape[0]:
             raise DimensionMismatchError("covariance must be m x m matching the gain")
-        sym_err = np.linalg.norm(cov - cov.T)
-        if sym_err > 1e-12 * max(1.0, np.linalg.norm(cov)):
-            raise NotPositiveDefiniteError("covariance is not symmetric")
-        chol = _cholesky_or_raise(cov, "Sigma")
+        chol = _require_spd(cov, "Sigma")
         object.__setattr__(self, "gain", gain)
         object.__setattr__(self, "covariance", cov)
         object.__setattr__(self, "_chol", chol)
@@ -434,10 +433,7 @@ def gaussian_entropy(sigma) -> float:
     """Differential entropy (1/2) log det(2 pi e Sigma) of N(c, Sigma)."""
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     m = sigma.shape[0]
-    sym_err = np.linalg.norm(sigma - sigma.T)
-    if sym_err > 1e-10 * max(1.0, np.linalg.norm(sigma)):
-        raise NotPositiveDefiniteError("Sigma is not symmetric")
-    chol = _cholesky_or_raise(sigma, "Sigma")
+    chol = _require_spd(sigma, "Sigma")
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
     return 0.5 * (m * math.log(2.0 * math.pi * math.e) + log_det)
 

@@ -372,6 +372,8 @@ def value_surface(
     and polish for ``warm_iters`` iterations. The fixed band layout (not the
     process count) determines results, so outputs are reproducible per seed.
     """
+    if t <= 0.0:
+        raise ValueError("t must be > 0")
     if warm_iters is not None and warm_iters < 1:
         raise ValueError("warm_iters must be >= 1")
     if n_random < 0:

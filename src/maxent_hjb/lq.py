@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import write_table
+from .dynamics import _require_spd, _require_symmetric, write_table
 from .errors import (
     DimensionMismatchError,
     NoConvergenceError,
@@ -115,15 +115,13 @@ class LqProblem:
         b = np.asarray(self.b, dtype=float)
         q = np.asarray(self.q, dtype=float)
         r = np.asarray(self.r, dtype=float)
-        n = a.shape[0]
-        if a.shape != (n, n) or b.shape[0] != n or q.shape != (n, n):
+        n, m = a.shape[0], b.shape[-1]
+        if a.shape != (n, n) or b.shape != (n, m) or q.shape != (n, n) or r.shape != (m, m):
             raise DimensionMismatchError("inconsistent LQ matrix shapes")
         if self.lam < 0 or self.alpha <= 0:
             raise ValueError("need lam >= 0 and alpha > 0")
-        try:
-            np.linalg.cholesky(r)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError("R must be positive definite") from exc
+        _require_spd(r, "R")
+        _require_symmetric(q, "Q")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "q", q)
@@ -161,11 +159,7 @@ class RiccatiSolution:
     iterations: int
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        if np.linalg.norm(p - p.T) > 1e-10 * max(1.0, np.linalg.norm(p)):
-            raise NotPositiveDefiniteError("P is not symmetric")
-        if np.min(np.linalg.eigvalsh(p)) <= 0:
-            raise NotPositiveDefiniteError("P is not positive definite")
+        _require_spd(np.asarray(self.p, dtype=float), "P")
 
 
 @dataclass(frozen=True)

@@ -327,6 +327,10 @@ class HamiltonianContext:
     alpha: float
     grid: QuadratureGrid
 
+    def __post_init__(self):
+        if not self.alpha > 0:  # also rejects NaN
+            raise ValueError("alpha must be > 0")
+
     def value_batch(self, x, p) -> np.ndarray:
         v, _ = soft_hamiltonian_batch(self.model, self.cost, x, p, self.alpha, self.grid)
         return v

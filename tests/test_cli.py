@@ -7,7 +7,7 @@ import pytest
 
 from maxent_hjb import kleinman_iterate, load_matrix
 from maxent_hjb.benchmarks import load_fixture
-from maxent_hjb.cli import RunManifest, main, parse_config, run
+from maxent_hjb.cli import _VALIDATORS, SCHEMAS, RunManifest, main, parse_config, run
 from maxent_hjb.errors import ConfigError, MaxEntError
 
 
@@ -275,6 +275,7 @@ class TestMainEntry:
             ["lq-exact", "--fixture", "foo"],
             ["lq-onpolicy", "--seed", "-1"],
             ["vdp-control", "--total_t", "2.5", "--window_t", "2.5", "--dt", "0.7"],
+            ["ham-sweep", "--model", "lorenz"],
         ],
     )
     def test_out_of_range_value_exits_two(self, argv, tmp_path, capsys):
@@ -282,6 +283,13 @@ class TestMainEntry:
         assert main([*argv, "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("flags", [["--nodes"], ["--nodes", "--p", "2"], ["--model"]])
+    def test_flag_without_value_exits_two(self, flags, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["ham-sweep", "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err == f"config error: flag {flags[0]} needs a value\n"
+        assert not out.exists()
 
     def test_vdp_sweep_needs_planar_vectors(self, tmp_path, capsys):
         code = main(["ham-sweep", "--model", "vdp", "--out", str(tmp_path / "a")])
@@ -303,6 +311,12 @@ class TestMainEntry:
             text=True,
         )
         assert result.returncode == 0
+
+
+class TestSchemas:
+    def test_every_key_has_a_validator_and_every_validator_a_key(self):
+        keys = {key for schema in SCHEMAS.values() for key in schema}
+        assert keys == set(_VALIDATORS)
 
 
 class TestManifest:

@@ -304,12 +304,14 @@ class TestValueSurface:
         w2 = value_surface(lq_ctx, lq_ctx.cost.terminal, xs, ys, 0.2, cfg, n_bands=2, processes=2)
         assert np.array_equal(w1, w2)
 
-    @pytest.mark.parametrize("bad", [{"warm_iters": 0}, {"n_random": -1}, {"n_bands": 0}])
+    @pytest.mark.parametrize("bad", [{"warm_iters": 0}, {"n_random": -1}, {"n_bands": 0},
+                                     {"t": 0.0}, {"t": -0.1}])
     def test_out_of_range_keyword_rejected_before_any_band(self, lq_ctx, monkeypatch, bad):
         monkeypatch.setattr(hopf_lax, "_sweep_band", lambda *args: pytest.fail("a band ran"))
         grid = np.linspace(-0.5, 0.5, 8)
+        kwargs = {"t": 0.2, "config": HopfLaxConfig(), **bad}
         with pytest.raises(ValueError, match=next(iter(bad))):
-            value_surface(lq_ctx, lq_ctx.cost.terminal, grid, grid, 0.2, HopfLaxConfig(), **bad)
+            value_surface(lq_ctx, lq_ctx.cost.terminal, grid, grid, **kwargs)
 
 
     @pytest.mark.parametrize("processes", [1, 2])

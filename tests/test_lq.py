@@ -21,7 +21,7 @@ from maxent_hjb import (
     solve_lyapunov,
 )
 from maxent_hjb.benchmarks import FIXTURE_SPECS, fixture_dir, write_fixture_files
-from maxent_hjb.errors import NotHurwitzError
+from maxent_hjb.errors import DimensionMismatchError, NotHurwitzError, NotPositiveDefiniteError
 from maxent_hjb.lq import (
     quad_regressor,
     reduce_kron_columns,
@@ -167,6 +167,25 @@ class TestKleinman:
         prob = LqProblem(a=[[1.0]], b=[[1.0]], q=[[1.0]], r=[[1.0]], lam=0.0, alpha=1.0)
         with pytest.raises(NotHurwitzError):
             kleinman_iterate(prob, k0=np.array([[0.0]]))
+
+
+class TestProblemChecks:
+    # Cholesky and eigh each read one triangle, so a non-symmetric weight would
+    # pass them and fail later, far from its cause
+    def test_non_symmetric_r_names_r(self):
+        with pytest.raises(NotPositiveDefiniteError, match="R is not symmetric"):
+            LqProblem(a=-np.eye(2), b=np.eye(2), q=np.eye(2), r=[[1.0, 5.0], [0.0, 1.0]],
+                      lam=0.0, alpha=1.0)
+
+    def test_non_symmetric_q_names_q(self):
+        with pytest.raises(NotPositiveDefiniteError, match="Q is not symmetric"):
+            LqProblem(a=-np.eye(2), b=np.eye(2), q=[[1.0, 5.0], [0.0, 1.0]], r=np.eye(2),
+                      lam=0.0, alpha=1.0)
+
+    @pytest.mark.parametrize("r", [[[1.0]], np.eye(2, 3)])
+    def test_r_must_be_m_by_m(self, r):
+        with pytest.raises(DimensionMismatchError):
+            LqProblem(a=-np.eye(2), b=np.eye(2), q=np.eye(2), r=r, lam=0.0, alpha=1.0)
 
 
 class TestMaxEntPolicy:

@@ -79,6 +79,12 @@ class TestSoftHamiltonianValue:
         with pytest.raises(ValueError):
             soft_hamiltonian(channel_model, zero_cost, [0.0], [1.0], 0.0, unit_grid)
 
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, math.nan])
+    def test_context_rejects_nonpositive_alpha(self, vdp_model, vdp_cost, vdp_grid, alpha):
+        # a context is what every solver takes, so no solver runs at such a temperature
+        with pytest.raises(ValueError, match="alpha must be > 0"):
+            HamiltonianContext(model=vdp_model, cost=vdp_cost, alpha=alpha, grid=vdp_grid)
+
     def test_batch_matches_scalar(self, vdp_model, vdp_cost, vdp_grid):
         rng = np.random.default_rng(7)
         xs = rng.normal(size=(10, 2))
