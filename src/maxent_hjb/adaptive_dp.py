@@ -13,6 +13,7 @@ the solvers one rank-checked least-squares core.
 Exploration comes from the max-entropy policy itself: controls are sampled from
 N(-K x, alpha R^-1) at every integrator substep, and the sampled realization
 u(s) + K x(s) stands in for the exploration-measure mean in the regressors.
+The learners read alpha and the discount lam from the problem, through ``HiddenLqSystem``.
 """
 
 from __future__ import annotations
@@ -23,12 +24,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import Trajectory, diverged_rows, euler_rollout, make_rng, write_json
+from .dynamics import (
+    QuadraticRunning, Trajectory, diverged_rows, euler_rollout, make_rng, write_json
+)
 from .errors import (
     DimensionMismatchError, DivergedTrajectoryError, RankDeficientError, RankStallError
 )
 from .lq import (
-    numerical_rank, quad_regressor, reduce_kron_columns, spectral_abscissa, svec_size, svec_to_mat
+    LqProblem, numerical_rank, quad_regressor, reduce_kron_columns, spectral_abscissa, svec_size,
+    svec_to_mat,
 )
 
 REGRESSOR_RANK_TOL = 1e-12  # relative singular-value cut for the regressor rank
@@ -42,8 +46,6 @@ class LearnerConfig:
 
     delta_t: float = 0.01
     n_sub: int = 10
-    alpha: float = 1.0
-    lam: float = 1e-10
     eps_stop: float = 2e-2
     max_iters: int = 25
     seed: int = 0
@@ -54,10 +56,8 @@ class LearnerConfig:
     def __post_init__(self):
         if self.delta_t <= 0 or self.n_sub < 2:
             raise ValueError("need delta_t > 0 and n_sub >= 2")
-        if self.alpha <= 0 or self.lam < 0 or self.eps_stop <= 0:
-            raise ValueError("need alpha > 0, lam >= 0, eps_stop > 0")
-        if self.max_iters < 1:
-            raise ValueError("need max_iters >= 1")
+        if self.eps_stop <= 0 or self.max_iters < 1:
+            raise ValueError("need eps_stop > 0 and max_iters >= 1")
 
     @property
     def substep(self) -> float:
@@ -123,10 +123,10 @@ class LearnerReport:
     settling_time: float
     total_running_cost: float
     converged: bool
-    rank_counts: list = field(default_factory=list)
-    p_final: np.ndarray = field(repr=False, default=None)
-    k_final: np.ndarray = field(repr=False, default=None)
-    trajectory: Trajectory = field(repr=False, default=None)
+    rank_counts: list
+    p_final: np.ndarray = field(repr=False)
+    k_final: np.ndarray = field(repr=False)
+    trajectory: Trajectory = field(repr=False)
 
     def to_json(self, path):
         payload = {
@@ -140,27 +140,25 @@ class LearnerReport:
             "total_running_cost": self.total_running_cost,
             "p_norms": [float(np.linalg.norm(p)) for p, _ in self.iterates],
             "k_norms": [float(np.linalg.norm(k)) for _, k in self.iterates],
-            "p_final": None if self.p_final is None else self.p_final.tolist(),
-            "k_final": None if self.k_final is None else self.k_final.tolist(),
+            "p_final": self.p_final.tolist(),
+            "k_final": self.k_final.tolist(),
         }
         write_json(path, payload)
 
 
 class HiddenLqSystem:
-    """Simulation harness that holds (A, B) privately.
+    """Simulation harness for an LQ problem that holds its (A, B) privately.
 
-    The learners only see the dimensions, the cost matrices, and the simulated
-    samples; the hidden truth is exposed solely through harness-side checks
-    used by tests (closed-loop abscissa, oracle gain).
+    The learners only see the dimensions, the cost matrices Q and R, the
+    temperature alpha (the exploration covariance is alpha R^-1), the discount
+    lam, and the simulated samples; the hidden truth is exposed solely through
+    harness-side checks used by tests (closed-loop abscissa).
     """
 
-    def __init__(self, a, b, q, r):
-        self._a = np.asarray(a, dtype=float)
-        self._b = np.asarray(b, dtype=float)
-        self.q = np.asarray(q, dtype=float)
-        self.r = np.asarray(r, dtype=float)
-        if self._a.shape[0] != self._b.shape[0]:
-            raise DimensionMismatchError("A and B row counts differ")
+    def __init__(self, prob: LqProblem):
+        self._a, self._b = prob.a, prob.b
+        self.q, self.r = prob.q, prob.r
+        self.lam, self.alpha = prob.lam, prob.alpha
 
     @property
     def n(self) -> int:
@@ -179,8 +177,8 @@ class HiddenLqSystem:
 
     # harness-side diagnostics (not available to the learner logic)
 
-    def closed_loop_abscissa(self, k_gain, lam) -> float:
-        return spectral_abscissa(self._a - 0.5 * lam * np.eye(self.n) - self._b @ k_gain)
+    def closed_loop_abscissa(self, k_gain) -> float:
+        return spectral_abscissa(self._a - 0.5 * self.lam * np.eye(self.n) - self._b @ k_gain)
 
 
 class _Stream:
@@ -206,14 +204,13 @@ class _Stream:
             self.controls.append(np.asarray(controls))
             self.rows += len(times)
 
-    def as_trajectory(self, seed) -> Trajectory:
+    def as_trajectory(self) -> Trajectory:
         # a learner collects windows before it rolls out, so controls is never empty
         controls = np.concatenate(self.controls)
         return Trajectory(
             times=np.concatenate(self.times),
             states=np.concatenate(self.states),
             controls=np.concatenate([controls, controls[-1:]]),
-            seed=seed,
         )
 
 
@@ -366,7 +363,7 @@ def solve_offpolicy(rows: OffPolicyRows, k_gain, q_mat, r_mat):
     return _solve_pk(rows, np.hstack([rows.delta, gain_block]), rhs)
 
 
-def sinusoidal_baseline(a: float, omega_bar: float, n_terms: int, seed: int, channels: int = 1):
+def sinusoidal_baseline(a: float, omega_bar: float, n_terms: int, seed: int, channels: int):
     """Deterministic-given-seed exploration e(t) = a sum_k sin(w_k t) per channel.
 
     Frequencies are drawn uniformly from (-omega_bar, omega_bar), independently
@@ -398,12 +395,9 @@ def settling_time(traj: Trajectory, band: float) -> float:
     return float(traj.times[last + 1])
 
 
-def _running_cost_increment(system, traj, lam):
-    vals = 0.5 * (
-        np.einsum("ti,ij,tj->t", traj.states, system.q, traj.states)
-        + np.einsum("ti,ij,tj->t", traj.controls, system.r, traj.controls)
-    )
-    return float(np.trapezoid(np.exp(-lam * traj.times) * vals, traj.times))
+def _running_cost_increment(system, traj):
+    vals = QuadraticRunning(system.q, system.r).eval(traj.states, traj.controls)
+    return float(np.trapezoid(np.exp(-system.lam * traj.times) * vals, traj.times))
 
 
 def _start_stream(system, k0, config, explore):
@@ -411,7 +405,7 @@ def _start_stream(system, k0, config, explore):
 
     The noise is ``explore`` when given, else one N(0, alpha R^-1) draw per call.
     """
-    chol_sigma = np.linalg.cholesky(config.alpha * np.linalg.inv(system.r))
+    chol_sigma = np.linalg.cholesky(system.alpha * np.linalg.inv(system.r))
     rng = make_rng(config.seed)
 
     def gaussian(t):
@@ -482,7 +476,7 @@ def _policy_iteration(system, stream, k_gain, config, rows_for_gain, solve):
             break
         p_prev = p_k
     _rollout(system, stream, k_gain, config.substep, config.eval_horizon - 1e-12)
-    traj = stream.as_trajectory(config.seed)
+    traj = stream.as_trajectory()
     total_samples = int(sum(samples_per_iter))
     return LearnerReport(
         iterates=iterates,
@@ -490,7 +484,7 @@ def _policy_iteration(system, stream, k_gain, config, rows_for_gain, solve):
         total_samples=total_samples,
         learning_time=total_samples * config.delta_t,
         settling_time=settling_time(traj, config.settle_band),
-        total_running_cost=_running_cost_increment(system, traj, config.lam),
+        total_running_cost=_running_cost_increment(system, traj),
         converged=converged,
         rank_counts=rank_counts,
         p_final=iterates[-1][0],
@@ -517,7 +511,7 @@ def run_onpolicy(
     def rows_for_gain(k):
         return _collect_until_rank(
             system, stream, k, noise, config,
-            lambda *window: collect_onpolicy_window(*window, k, system.q, system.r, config.lam),
+            lambda *window: collect_onpolicy_window(*window, k, system.q, system.r, system.lam),
             lambda theta, xi: OnPolicyRows(theta=theta, xi=xi, n=system.n, m=system.m),
         )
 
@@ -538,7 +532,7 @@ def run_offpolicy(
     k_gain, noise, stream = _start_stream(system, k0, config, explore)
     rows, rank_at = _collect_until_rank(
         system, stream, k_gain, noise, config,
-        lambda *window: collect_offpolicy_window(*window, config.lam),
+        lambda *window: collect_offpolicy_window(*window, system.lam),
         lambda delta, i1, i2: OffPolicyRows(delta=delta, i1=i1, i2=i2, n=system.n, m=system.m),
     )
     fresh = [(rows, rank_at)]  # the first iteration reports the collection

@@ -57,6 +57,9 @@ from .soft_hamiltonian import (
 
 COMMANDS = ("ham-sweep", "hjb-compare", "vdp-control", "lq-onpolicy", "lq-offpolicy", "lq-exact")
 
+# the LQ problem's keys, shared by the Riccati solve and the learners
+_LQ_PROBLEM = {"fixture": (str, "n3m2"), "lam": (float, 1e-10), "alpha": (float, 1.0)}
+
 # key -> (type, default) per command; flags mirror these one-to-one
 SCHEMAS: dict = {
     "ham-sweep": {
@@ -93,15 +96,10 @@ SCHEMAS: dict = {
         "start_radius": (float, 1.5),
         "simplex_iters": (int, 60),
     },
-    "lq-exact": {
-        "fixture": (str, "n3m2"),
-        "lam": (float, 1e-10),
-        "alpha": (float, 1.0),
-        "tol": (float, 1e-12),
-    },
-    # the learners' keys are LearnerConfig's fields bar the seed, with its defaults
+    "lq-exact": {**_LQ_PROBLEM, "tol": (float, 1e-12)},
+    # the learners' keys are the problem's plus LearnerConfig's fields bar the seed
     "lq-onpolicy": {
-        "fixture": (str, "n3m2"),
+        **_LQ_PROBLEM,
         **{f.name: (type(f.default), f.default) for f in fields(LearnerConfig) if f.name != "seed"},
     },
 }
@@ -452,9 +450,9 @@ def _run_lq_learner(config: ExperimentConfig, out: Path, produced: list):
     p = config.params
     prob = load_fixture(p["fixture"], lam=p["lam"], alpha=p["alpha"])
     oracle = kleinman_iterate(prob)
-    system = HiddenLqSystem(prob.a, prob.b, prob.q, prob.r)
+    system = HiddenLqSystem(prob)
     learner_cfg = LearnerConfig(
-        seed=config.seed, **{key: value for key, value in p.items() if key != "fixture"}
+        seed=config.seed, **{key: value for key, value in p.items() if key not in _LQ_PROBLEM}
     )
     runner = run_onpolicy if config.command == "lq-onpolicy" else run_offpolicy
     report = runner(system, np.zeros((prob.m, prob.n)), learner_cfg)

@@ -289,9 +289,9 @@ class CostModel:
     horizon: float = math.inf
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
+        if not self.alpha > 0.0:  # also rejects NaN
             raise ValueError("temperature alpha must be > 0")
-        if self.lam < 0.0:
+        if not self.lam >= 0.0:
             raise ValueError("discount lambda must be >= 0")
         if not (self.horizon > 0.0):
             raise ValueError("horizon must be > 0 (math.inf for infinite)")
@@ -361,7 +361,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     controls: np.ndarray
-    seed: int
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -426,7 +425,7 @@ def simulate_sampled(
     if len(states) <= steps:
         raise DivergedTrajectoryError(len(states))
     controls.append(policy.sample(states[-1], rng))
-    return Trajectory(times=np.arange(steps + 1) * h, states=states, controls=controls, seed=seed)
+    return Trajectory(times=np.arange(steps + 1) * h, states=states, controls=controls)
 
 
 def gaussian_entropy(sigma) -> float:

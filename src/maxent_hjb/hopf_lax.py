@@ -572,5 +572,4 @@ def receding_horizon_control(
         times=np.add.accumulate(np.r_[0.0, np.full(steps, h)]),
         states=states,
         controls=controls + controls[-1:],  # the last time point repeats the held control
-        seed=config.seed,
     )

@@ -118,7 +118,7 @@ class LqProblem:
         n, m = a.shape[0], b.shape[-1]
         if a.shape != (n, n) or b.shape != (n, m) or q.shape != (n, n) or r.shape != (m, m):
             raise DimensionMismatchError("inconsistent LQ matrix shapes")
-        if self.lam < 0 or self.alpha <= 0:
+        if not self.lam >= 0 or not self.alpha > 0:  # also rejects NaN
             raise ValueError("need lam >= 0 and alpha > 0")
         _require_spd(r, "R")
         _require_symmetric(q, "Q")
@@ -258,9 +258,7 @@ def maxent_policy(prob: LqProblem, riccati: RiccatiSolution) -> MaxEntLqPolicy:
             "use finite-horizon cost evaluation instead"
         )
     m = prob.m
-    sign, logdet_r = np.linalg.slogdet(prob.r)
-    if sign <= 0:
-        raise NotPositiveDefiniteError("det R must be positive")
+    _, logdet_r = np.linalg.slogdet(prob.r)
     log_ratio = m * math.log(2.0 * math.pi * prob.alpha) - logdet_r
     c = -(prob.alpha / (2.0 * prob.lam)) * log_ratio
     return MaxEntLqPolicy(

@@ -117,8 +117,12 @@ def boltzmann_moments(l_vals, weights, alpha, f=None, order=0) -> BoltzmannMomen
 
     ``order`` selects how much is computed: 0 gives the value alone, 1 adds
     -E[f] and 2 also adds Cov[f]/a, both under the density proportional to
-    ``mass`` (``f`` carries the node axis second to last).
+    ``mass`` (``f`` carries the node axis second to last). Every H, density,
+    Godunov and expected-cost path comes here, so this is the one place that
+    rejects a temperature that is not > 0, NaN included.
     """
+    if not alpha > 0:
+        raise ValueError("alpha must be > 0")
     l_min = l_vals.min(axis=-1, keepdims=True)
     mass = np.exp(-(l_vals - l_min) / alpha) * weights
     total = mass.sum(axis=-1)
@@ -144,8 +148,6 @@ def soft_hamiltonian_batch(
     want_gradient: bool = False,
 ):
     """Vectorized H_a (and optionally its p-gradient) over leading batch axes."""
-    if alpha <= 0.0:
-        raise ValueError("alpha must be > 0")
     l_vals, f = _exponent(model, cost, x, p, grid.nodes)
     moments = boltzmann_moments(l_vals, grid.weights, alpha, f, order=int(want_gradient))
     return moments.value, moments.gradient
@@ -162,9 +164,7 @@ def soft_hamiltonian(
     want_hessian: bool = False,
 ) -> HamiltonianReport:
     """Soft Hamiltonian at one (x, p) with optional gradient and Hessian in p."""
-    if alpha <= 0.0:
-        raise ValueError("alpha must be > 0")
-    if alpha < SMALL_ALPHA_WARN:
+    if 0 < alpha < SMALL_ALPHA_WARN:
         warnings.warn(
             "alpha below 1e-3: the integrand is sharply peaked and the fixed "
             "grid may under-resolve it; consider more nodes",

@@ -291,13 +291,13 @@ def test_criterion_08_adaptive_dp_oracle_equivalence():
 def _learner_setup():
     prob = load_fixture("n3m2", lam=1e-10, alpha=1.0)
     oracle = kleinman_iterate(prob)
-    system = HiddenLqSystem(prob.a, prob.b, prob.q, prob.r)
+    system = HiddenLqSystem(prob)
     return prob, oracle, system
 
 
 def _learner_config(seed):
     return LearnerConfig(
-        delta_t=0.01, n_sub=10, alpha=1.0, lam=1e-10,
+        delta_t=0.01, n_sub=10,
         eps_stop=2e-2, max_iters=25, seed=seed, eval_horizon=20.0,
     )
 
@@ -312,7 +312,7 @@ def test_criterion_09_onpolicy_learning():
         rep = run_onpolicy(system, k0, _learner_config(seed))
         rels.append(np.linalg.norm(rep.p_final - oracle.p) / np.linalg.norm(oracle.p))
         for _, k in rep.iterates:
-            hurwitz_ok &= system.closed_loop_abscissa(k, 1e-10) < 0
+            hurwitz_ok &= system.closed_loop_abscissa(k) < 0
     median = float(np.median(rels))
     ok = median <= 5e-2 and hurwitz_ok
     _report(9, f"on-policy median rel P error {median:.3f} <= 5e-2, all loops Hurwitz",
@@ -323,12 +323,12 @@ def test_criterion_09_onpolicy_learning():
 def test_criterion_09_slow_full_scale_rank_count():
     started = time.time()
     prob = load_fixture("n10m10", lam=1e-10, alpha=1.0)
-    system = HiddenLqSystem(prob.a, prob.b, prob.q, prob.r)
+    system = HiddenLqSystem(prob)
     k0 = np.zeros((10, 10))
     hits = 0
     for seed in range(20):
         cfg = LearnerConfig(
-            delta_t=0.01, n_sub=10, alpha=1.0, lam=1e-10,
+            delta_t=0.01, n_sub=10,
             eps_stop=1e9, max_iters=1, seed=seed, eval_horizon=0.0,
         )
         rep = run_onpolicy(system, k0, cfg)

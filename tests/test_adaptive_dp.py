@@ -6,6 +6,7 @@ import pytest
 from maxent_hjb import (
     HiddenLqSystem,
     LearnerConfig,
+    LqProblem,
     OffPolicyRows,
     OnPolicyRows,
     Trajectory,
@@ -45,16 +46,18 @@ def fixture_oracle(fixture_problem):
 
 @pytest.fixture(scope="module")
 def fixture_system(fixture_problem):
-    p = fixture_problem
-    return HiddenLqSystem(p.a, p.b, p.q, p.r)
+    return HiddenLqSystem(fixture_problem)
+
+
+def scalar_system(a):
+    """dx/dt = a x + u with unit costs, temperature and a negligible discount."""
+    return HiddenLqSystem(LqProblem(a=[[a]], b=[[1.0]], q=[[1.0]], r=[[1.0]], lam=1e-10, alpha=1.0))
 
 
 def default_config(seed=0, **overrides):
     base = dict(
         delta_t=0.01,
         n_sub=10,
-        alpha=1.0,
-        lam=1e-10,
         eps_stop=2e-2,
         max_iters=25,
         seed=seed,
@@ -297,7 +300,7 @@ class TestRunOnPolicy:
         k0 = np.zeros((2, 3))
         rep = run_onpolicy(fixture_system, k0, default_config(seed=1))
         for _, k in rep.iterates:
-            assert fixture_system.closed_loop_abscissa(k, 1e-10) < 0
+            assert fixture_system.closed_loop_abscissa(k) < 0
 
     def test_monotone_iterates(self, fixture_system):
         rep = run_onpolicy(fixture_system, np.zeros((2, 3)), default_config(seed=2, extra_windows=24))
@@ -403,7 +406,7 @@ class TestSinusoidalBaseline:
         assert np.allclose(e(0.37), 0.0)
 
     def test_single_term_exact(self):
-        e = sinusoidal_baseline(2.0, 50.0, 1, seed=1)
+        e = sinusoidal_baseline(2.0, 50.0, 1, seed=1, channels=1)
         w = e.omegas[0, 0]
         for t in (0.0, 0.1, 1.3):
             assert e(t)[0] == pytest.approx(2.0 * math.sin(w * t))
@@ -418,13 +421,13 @@ class TestSinusoidalBaseline:
 class TestSettlingTime:
     def test_identically_zero(self):
         traj = Trajectory(
-            times=np.linspace(0, 1, 11), states=np.zeros((11, 2)), controls=np.zeros((11, 1)), seed=0
+            times=np.linspace(0, 1, 11), states=np.zeros((11, 2)), controls=np.zeros((11, 1))
         )
         assert settling_time(traj, band=1.0) == 0.0
 
     def test_never_settles(self):
         traj = Trajectory(
-            times=np.linspace(0, 1, 11), states=np.full((11, 1), 2.0), controls=np.zeros((11, 1)), seed=0
+            times=np.linspace(0, 1, 11), states=np.full((11, 1), 2.0), controls=np.zeros((11, 1))
         )
         assert settling_time(traj, band=1.0) == math.inf
 
@@ -432,7 +435,7 @@ class TestSettlingTime:
         # oracle: 2 e^{-t} crosses 1 at t = log 2
         times = np.linspace(0, 3, 3001)
         states = (2.0 * np.exp(-times))[:, None]
-        traj = Trajectory(times=times, states=states, controls=np.zeros((3001, 1)), seed=0)
+        traj = Trajectory(times=times, states=states, controls=np.zeros((3001, 1)))
         assert settling_time(traj, band=1.0) == pytest.approx(math.log(2.0), abs=2e-3)
 
 
@@ -543,7 +546,7 @@ class TestEulerStepper:
         _, gaussian, stream = _start_stream(system, k_gain, cfg, None)
         noise_fn = {"gaussian": gaussian, "explore": explore, "none": None}[noise]
         ref = _ReferenceStream(stream.last[1])
-        chol_sigma = np.linalg.cholesky(cfg.alpha * np.linalg.inv(system.r))
+        chol_sigma = np.linalg.cholesky(system.alpha * np.linalg.inv(system.r))
         rng = make_rng(cfg.seed)
         # windows under the exploration noise; the old loop had no noise-free
         # window, so without noise the comparison is the rollout alone
@@ -572,7 +575,7 @@ class TestEulerStepper:
 
     @pytest.mark.parametrize("noise", ["gaussian", "none"])
     def test_divergence_at_same_index(self, noise):
-        system = HiddenLqSystem([[5.0]], [[1.0]], [[1.0]], [[1.0]])
+        system = scalar_system(5.0)
         cfg = default_config(seed=0, delta_t=0.1, n_sub=10)
         k_gain = np.zeros((1, 1))
         _, gaussian, stream = _start_stream(system, k_gain, cfg, None)
@@ -584,7 +587,7 @@ class TestEulerStepper:
                 _rollout(system, stream, k_gain, cfg.substep, cfg.eval_horizon)
         with pytest.raises(DivergedTrajectoryError) as ref_err:
             if noise == "gaussian":
-                chol_sigma = np.linalg.cholesky(cfg.alpha * np.linalg.inv(system.r))
+                chol_sigma = np.linalg.cholesky(system.alpha * np.linalg.inv(system.r))
                 reference_substeps(system, ref, k_gain, chol_sigma, cfg.substep, 10**6,
                                    make_rng(cfg.seed))
             else:
@@ -598,7 +601,7 @@ class TestEulerStepper:
     @pytest.mark.parametrize("a, step", [(3.0, 624), (5.0, 378), (50.0, 46)])
     def test_scalar_rollout_diverges_where_the_loop_does(self, a, step):
         # (1 + 0.01 a)^step is the first power beyond DIVERGENCE_NORM
-        system = HiddenLqSystem([[a]], [[1.0]], [[1.0]], [[1.0]])
+        system = scalar_system(a)
         stream, ref = _Stream(1), _ReferenceStream([1.0])
         with pytest.raises(DivergedTrajectoryError) as new_err:
             _rollout(system, stream, np.zeros((1, 1)), 0.01, 20.0 - 1e-12)
@@ -611,7 +614,7 @@ class TestEulerStepper:
     def test_full_horizon_at_the_oracle_gain(self, fixture):
         prob = load_fixture(fixture, lam=1e-10, alpha=1.0)
         k_gain = kleinman_iterate(prob).k
-        system = HiddenLqSystem(prob.a, prob.b, prob.q, prob.r)
+        system = HiddenLqSystem(prob)
         cfg = default_config(eval_horizon=20.0)
         stream, ref = _Stream(prob.n), _ReferenceStream(np.ones(prob.n))
         _rollout(system, stream, k_gain, cfg.substep, cfg.eval_horizon - 1e-12)

@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from maxent_hjb import kleinman_iterate, load_matrix
+from maxent_hjb import LearnerConfig, kleinman_iterate, load_matrix
 from maxent_hjb.benchmarks import load_fixture
 from maxent_hjb.cli import _VALIDATORS, SCHEMAS, RunManifest, main, parse_config, run
 from maxent_hjb.errors import ConfigError, MaxEntError
@@ -317,6 +318,31 @@ class TestSchemas:
     def test_every_key_has_a_validator_and_every_validator_a_key(self):
         keys = {key for schema in SCHEMAS.values() for key in schema}
         assert keys == set(_VALIDATORS)
+
+    @pytest.mark.parametrize("command", ["lq-onpolicy", "lq-offpolicy"])
+    def test_learner_keys_are_the_problem_and_the_learner_config(self, command):
+        learner = {f.name for f in fields(LearnerConfig)} - {"seed"}
+        schema = SCHEMAS[command]
+        assert set(schema) == {"fixture", "lam", "alpha"} | learner
+        assert schema["lam"] == (float, 1e-10)
+        assert schema["alpha"] == (float, 1.0)
+
+    def test_problem_keys_reach_the_learner(self, tmp_path, monkeypatch):
+        from maxent_hjb import cli
+
+        class Reached(Exception):
+            pass
+
+        seen = {}
+
+        def record(system, k0, config):
+            seen.update(alpha=system.alpha, lam=system.lam)
+            raise Reached
+
+        monkeypatch.setattr(cli, "run_onpolicy", record)
+        with pytest.raises(Reached):
+            main(["lq-onpolicy", "--alpha", "0.5", "--lam", "0.01", "--out", str(tmp_path)])
+        assert seen == {"alpha": 0.5, "lam": 0.01}
 
 
 class TestManifest:

@@ -47,6 +47,20 @@ class TestControlBox:
             ControlBox(lower=[0.0], upper=[0.0])
 
 
+class TestCostModel:
+    RUNNING = QuadraticRunning(q=[[1.0]], r=[[1.0]])
+
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, math.nan])
+    def test_rejects_bad_temperature(self, alpha):
+        with pytest.raises(ValueError, match="temperature alpha must be > 0"):
+            CostModel(running=self.RUNNING, terminal=None, alpha=alpha)
+
+    @pytest.mark.parametrize("lam", [-1.0, math.nan])
+    def test_rejects_bad_discount(self, lam):
+        with pytest.raises(ValueError, match="discount lambda must be >= 0"):
+            CostModel(running=self.RUNNING, terminal=None, alpha=1.0, lam=lam)
+
+
 class TestEvalDynamics:
     def test_linear_zero_drift_identity_input(self):
         model = DynamicsModel(2, 2, Linear(a=np.zeros((2, 2)), b=np.eye(2)))

@@ -182,6 +182,13 @@ class TestProblemChecks:
             LqProblem(a=-np.eye(2), b=np.eye(2), q=[[1.0, 5.0], [0.0, 1.0]], r=np.eye(2),
                       lam=0.0, alpha=1.0)
 
+    @pytest.mark.parametrize(
+        "lam, alpha", [(-1.0, 1.0), (math.nan, 1.0), (0.0, 0.0), (0.0, -1.0), (0.0, math.nan)]
+    )
+    def test_rejects_bad_discount_or_temperature(self, lam, alpha):
+        with pytest.raises(ValueError, match="need lam >= 0 and alpha > 0"):
+            LqProblem(a=-np.eye(2), b=np.eye(2), q=np.eye(2), r=np.eye(2), lam=lam, alpha=alpha)
+
     @pytest.mark.parametrize("r", [[[1.0]], np.eye(2, 3)])
     def test_r_must_be_m_by_m(self, r):
         with pytest.raises(DimensionMismatchError):

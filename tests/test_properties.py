@@ -276,7 +276,8 @@ def test_block_rollout_matches_the_per_step_loop(n, m, seed, h, steps):
     # a random gain K and a stable closed loop A - BK
     a_cl, b = make_stable_system(n, m, seed)
     k_gain = np.random.default_rng(seed).standard_normal((m, n))
-    system = HiddenLqSystem(a_cl + b @ k_gain, b, np.eye(n), np.eye(m))
+    prob = LqProblem(a=a_cl + b @ k_gain, b=b, q=np.eye(n), r=np.eye(m), lam=0.0, alpha=1.0)
+    system = HiddenLqSystem(prob)
     blocked, stepped = _Stream(n), _Stream(n)
     _rollout(system, blocked, k_gain, h, steps * h - 0.5 * h)
     _euler_steps(system, stepped, k_gain, h, lambda t: np.zeros(m), steps)

@@ -1,5 +1,6 @@
 import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,8 +77,13 @@ class TestSoftHamiltonianValue:
         assert abs(rep.value - sinh_oracle(p, alpha)) <= 1e-8
 
     def test_rejects_nonpositive_alpha(self, channel_model, zero_cost, unit_grid):
-        with pytest.raises(ValueError):
-            soft_hamiltonian(channel_model, zero_cost, [0.0], [1.0], 0.0, unit_grid)
+        # the kernel holds the one temperature rule, and no warning comes before it
+        for entry in (soft_hamiltonian, soft_hamiltonian_batch, boltzmann_density):
+            for alpha in (-1.0, 0.0, math.nan):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    with pytest.raises(ValueError, match="alpha must be > 0"):
+                        entry(channel_model, zero_cost, [0.0], [1.0], alpha, unit_grid)
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, math.nan])
     def test_context_rejects_nonpositive_alpha(self, vdp_model, vdp_cost, vdp_grid, alpha):

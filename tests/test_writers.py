@@ -41,7 +41,7 @@ def test_trajectory_to_csv(tmp_path):
     times = np.arange(2500.0)
     times[0] = -0.0
     times[1] = 5e-324
-    traj = Trajectory(times=times, states=table[:, :3], controls=table[:, 3:], seed=0)
+    traj = Trajectory(times=times, states=table[:, :3], controls=table[:, 3:])
     path = tmp_path / "traj.csv"
     traj.to_csv(path)
     rows = [(t, *x, *u) for t, x, u in zip(traj.times, traj.states, traj.controls)]
