@@ -54,10 +54,18 @@ class LearnerConfig:
     settle_band: float = 1.0
 
     def __post_init__(self):
-        if self.delta_t <= 0 or self.n_sub < 2:
-            raise ValueError("need delta_t > 0 and n_sub >= 2")
-        if self.eps_stop <= 0 or self.max_iters < 1:
-            raise ValueError("need eps_stop > 0 and max_iters >= 1")
+        # each rule holds as written, so a NaN fails every one
+        for holds, rule in (
+            (self.delta_t > 0, "delta_t > 0"),
+            (self.n_sub >= 2, "n_sub >= 2"),
+            (self.eps_stop > 0, "eps_stop > 0"),
+            (self.max_iters >= 1, "max_iters >= 1"),
+            (self.extra_windows >= 0, "extra_windows >= 0"),
+            (self.settle_band > 0, "settle_band > 0"),
+            (0 <= self.eval_horizon < math.inf, "eval_horizon finite and >= 0"),
+        ):
+            if not holds:
+                raise ValueError(f"need {rule}")
 
     @property
     def substep(self) -> float:

@@ -207,6 +207,8 @@ def _coerce(command: str, key: str, raw: str, where: str):
         value = typ(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key!r} ({where}): {raw!r} is not {typ.__name__}") from exc
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(f"invalid {key!r} ({where}): {key} must be finite")
     verdict = _VALIDATORS[key](value)
     if verdict is not True:
         raise ConfigError(f"invalid {key!r} ({where}): {verdict}")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .dynamics import write_table
 from .errors import DegenerateCflError, DimensionMismatchError, NoConvergenceError
-from .soft_hamiltonian import HamiltonianContext, boltzmann_moments
+from .soft_hamiltonian import HamiltonianContext, _exponent, _node_fields, boltzmann_moments
 
 _SPEED_REFRESH = 50
 MAX_STEPS = 200_000
@@ -90,32 +90,30 @@ class GridFunction:
 
 
 class _CachedHamiltonian:
-    """H_a(x_i, .) for a fixed set of states, with f and r precomputed."""
+    """H_a(x_i, .) for a fixed set of states, with f and r precomputed on the
+    control nodes; L is formed by the kernel's own ``_exponent``."""
 
     def __init__(self, ctx: HamiltonianContext, points: np.ndarray):
         self.alpha = ctx.alpha
         self.weights = ctx.grid.weights
-        nodes = ctx.grid.nodes
-        xs = points[:, None, :]
-        us = nodes[None, :, :]
-        self.f = np.asarray(ctx.model.eval(xs, us), dtype=float)  # (M, N, n)
-        self.f = np.broadcast_to(self.f, (points.shape[0], nodes.shape[0], points.shape[1])).copy()
-        r = np.asarray(ctx.cost.running.eval(xs, us), dtype=float)
-        self.r = np.broadcast_to(r, self.f.shape[:2]).copy()
+        f, r = _node_fields(ctx.model, ctx.cost, points, ctx.grid.nodes)
+        shape = (points.shape[0], ctx.grid.size, points.shape[1])  # (M, N, n)
+        self.f = np.broadcast_to(np.asarray(f, dtype=float), shape).copy()
+        self.r = np.broadcast_to(np.asarray(r, dtype=float), shape[:2]).copy()
 
     def value(self, p_rows: np.ndarray, rows=None, coord=None, order=0):
         """H at ``p_rows``; at ``order`` >= 1, (H, dH/dp_i, d2H/dp_i^2 or None below
         order 2) for i = ``coord``, from one kernel pass (-E[f_i], Var[f_i]/alpha)."""
         f = self.f if rows is None else self.f[rows]
         r = self.r if rows is None else self.r[rows]
-        l_vals = np.einsum("...i,...ni->...n", p_rows, f) + r
+        l_vals = _exponent(p_rows, f, r)
         if order == 0:
             return boltzmann_moments(l_vals, self.weights, self.alpha).value
         m = boltzmann_moments(l_vals, self.weights, self.alpha, f[..., coord : coord + 1], order)
         return m.value, m.gradient[..., 0], None if order == 1 else m.hessian[..., 0, 0]
 
     def grad_norm(self, p_rows: np.ndarray) -> np.ndarray:
-        l_vals = np.einsum("mi,mni->mn", p_rows, self.f) + self.r
+        l_vals = _exponent(p_rows, self.f, self.r)
         grad = boltzmann_moments(l_vals, self.weights, self.alpha, self.f, order=1).gradient
         return np.linalg.norm(grad, axis=1)
 
@@ -231,8 +229,8 @@ def godunov_solve(
     """
     if not (0.0 < cfl <= 0.9):
         raise ValueError("cfl must be in (0, 0.9]")
-    if t_final <= 0.0:
-        raise ValueError("t_final must be > 0")
+    if not 0.0 < t_final < math.inf:  # also rejects NaN
+        raise ValueError("t_final must be finite and > 0")
     pts = grid.points()
     cached = _CachedHamiltonian(ctx, pts)
     w = np.asarray(q_spec.eval(pts), dtype=float).reshape(grid.nx, grid.ny)

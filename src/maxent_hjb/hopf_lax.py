@@ -57,11 +57,11 @@ class HopfLaxConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.ode_step <= 0.0:
+        if not self.ode_step > 0.0:  # also rejects NaN
             raise ValueError("ode_step must be > 0")
         if self.n_starts < 1:
             raise ValueError("n_starts must be >= 1")
-        if self.start_radius <= 0.0:
+        if not self.start_radius > 0.0:
             raise ValueError("start_radius must be > 0")
         if self.simplex_iters < 1:
             raise ValueError("simplex_iters must be >= 1")
@@ -161,8 +161,8 @@ def integrate_characteristics(
     config: HopfLaxConfig,
 ) -> CharacteristicCurve:
     """Solve the bi-characteristic ODEs for one (x, v), stored forward in s."""
-    if t <= 0.0:
-        raise ValueError("t must be > 0")
+    if not 0.0 < t < math.inf:  # also rejects NaN
+        raise ValueError("t must be finite and > 0")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     n_steps = _step_count(t, config.ode_step)
@@ -327,8 +327,8 @@ def hopf_lax_value(
     ``extra_starts`` prepends deterministic costate starts (e.g. a previous
     solve's optimizer when tracking a trajectory) to the sampled ones.
     """
-    if t <= 0.0:
-        raise ValueError("t must be > 0")
+    if not 0.0 < t < math.inf:  # also rejects NaN
+        raise ValueError("t must be finite and > 0")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n_steps = _step_count(t, config.ode_step)
     rng = make_rng(config.seed)
@@ -372,8 +372,8 @@ def value_surface(
     and polish for ``warm_iters`` iterations. The fixed band layout (not the
     process count) determines results, so outputs are reproducible per seed.
     """
-    if t <= 0.0:
-        raise ValueError("t must be > 0")
+    if not 0.0 < t < math.inf:  # also rejects NaN
+        raise ValueError("t must be finite and > 0")
     if warm_iters is not None and warm_iters < 1:
         raise ValueError("warm_iters must be >= 1")
     if n_random < 0:
@@ -473,13 +473,6 @@ def surface_to_csv(path, xs, ys, values):
     write_table(path, "x1, x2, W", np.column_stack([gx.ravel(), gy.ravel(), values.ravel()]))
 
 
-def synthesize_feedback(ctx: HamiltonianContext, estimate: ValueEstimate, x) -> np.ndarray:
-    """Boltzmann feedback density at x using the optimizing costate for grad V."""
-    if estimate.blown_up_fraction >= 1.0:
-        raise AllCharacteristicsBlewUpError("estimate carries no surviving costate")
-    return ctx.density(np.atleast_1d(np.asarray(x, dtype=float)), estimate.argmin_v)
-
-
 def sample_feedback(
     ctx: HamiltonianContext,
     x,
@@ -496,7 +489,7 @@ def sample_feedback(
     """
     grid = ctx.grid
     box = grid.box
-    dens = ctx.density(np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(costate))
+    dens = ctx.density(x, costate)
     cdf = np.cumsum(dens * grid.weights)
     k = np.searchsorted(cdf, rng.random() * cdf[-1], side="right")
     cell = np.unravel_index(k, [len(ax) for ax in grid.axes])
@@ -508,8 +501,11 @@ def sample_feedback(
 
 
 def _whole_ratio(num: float, den: float):
-    """num / den as an int >= 1, or None unless it is within 1e-9 of one."""
+    """num / den as an int >= 1, or None unless it is a finite ratio within 1e-9
+    of one."""
     ratio = num / den
+    if not math.isfinite(ratio):
+        return None
     whole = round(ratio)
     return whole if whole >= 1 and abs(ratio - whole) <= 1e-9 else None
 

@@ -9,15 +9,18 @@ log-sum-exp shift at the node minimum of the exponent. Its p-gradient and
 p-Hessian are the (negated) mean and scaled covariance of u -> f(x, u) under the
 Boltzmann density, reusing the same node weights as the value.
 
-All evaluators accept batches: ``x`` and ``p`` may carry leading dimensions and
-every query in the batch shares one quadrature grid.
+``HamiltonianContext`` is the one evaluator of H, grad_p H and the Boltzmann
+density. Its batch methods accept leading dimensions on ``x`` and ``p``, and
+every query in the batch shares one quadrature grid. ``_node_fields`` and
+``_exponent`` are the one place that forms L = p.f + r, for the context, the
+free sweeps below and the Godunov cache.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -85,20 +88,28 @@ class HamiltonianReport:
     value: float
     gradient_p: np.ndarray | None
     hessian_p: np.ndarray | None
-    log_partition: float  # log Z, Z = sum_i w_i exp(-L_i/alpha); equals value / alpha
 
 
-def _exponent(model: DynamicsModel, cost: CostModel, x, p, nodes):
-    """L_i = p.f(x, u_i) + r(x, u_i) at all control nodes; also returns f(x, u_i)."""
+def _as_pair(x, p):
+    """x and p as float arrays of one shape (..., n)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if x.shape != p.shape:
         raise DimensionMismatchError("x and p must have matching shapes")
+    return x, p
+
+
+def _node_fields(model: DynamicsModel, cost: CostModel, x, nodes):
+    """(f(x, u_i), r(x, u_i)) at all control nodes for states ``x`` of shape
+    (..., n): arrays of shape (..., N, n) and (..., N)."""
     xs = x[..., None, :]
     us = nodes[(None,) * (x.ndim - 1) + (slice(None), slice(None))]
-    f = model.eval(xs, us)  # (..., N, n)
-    l_vals = np.einsum("...i,...ni->...n", p, f) + cost.running.eval(xs, us)
-    return l_vals, f
+    return model.eval(xs, us), cost.running.eval(xs, us)
+
+
+def _exponent(p, f, r):
+    """L_i = p.f_i + r_i at all control nodes, from ``_node_fields``' (f, r)."""
+    return np.einsum("...i,...ni->...n", p, f) + r
 
 
 class BoltzmannMoments(NamedTuple):
@@ -138,67 +149,6 @@ def boltzmann_moments(l_vals, weights, alpha, f=None, order=0) -> BoltzmannMomen
     return BoltzmannMoments(value, mass, total, -mean_f, hessian)
 
 
-def soft_hamiltonian_batch(
-    model: DynamicsModel,
-    cost: CostModel,
-    x,
-    p,
-    alpha: float,
-    grid: QuadratureGrid,
-    want_gradient: bool = False,
-):
-    """Vectorized H_a (and optionally its p-gradient) over leading batch axes."""
-    l_vals, f = _exponent(model, cost, x, p, grid.nodes)
-    moments = boltzmann_moments(l_vals, grid.weights, alpha, f, order=int(want_gradient))
-    return moments.value, moments.gradient
-
-
-def soft_hamiltonian(
-    model: DynamicsModel,
-    cost: CostModel,
-    x,
-    p,
-    alpha: float,
-    grid: QuadratureGrid,
-    want_gradient: bool = False,
-    want_hessian: bool = False,
-) -> HamiltonianReport:
-    """Soft Hamiltonian at one (x, p) with optional gradient and Hessian in p."""
-    if 0 < alpha < SMALL_ALPHA_WARN:
-        warnings.warn(
-            "alpha below 1e-3: the integrand is sharply peaked and the fixed "
-            "grid may under-resolve it; consider more nodes",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    l_vals, f = _exponent(model, cost, x, p, grid.nodes)
-    order = 2 if want_hessian else int(want_gradient)
-    moments = boltzmann_moments(l_vals, grid.weights, alpha, f, order)
-    return HamiltonianReport(
-        value=float(moments.value),
-        gradient_p=moments.gradient,
-        hessian_p=moments.hessian,
-        log_partition=float(moments.value) / alpha,
-    )
-
-
-def boltzmann_density(
-    model: DynamicsModel,
-    cost: CostModel,
-    x,
-    p,
-    alpha: float,
-    grid: QuadratureGrid,
-) -> np.ndarray:
-    """Boltzmann minimizer density g*(u) = exp(-L/a)/Z at the grid nodes.
-
-    The node values integrate to one against the grid weights.
-    """
-    l_vals, _ = _exponent(model, cost, x, p, grid.nodes)
-    moments = boltzmann_moments(l_vals, grid.weights, alpha)
-    return moments.mass / grid.weights / moments.total
-
-
 def grid_entropy(density: np.ndarray, grid: QuadratureGrid) -> float:
     """Differential entropy -sum w_i g_i log g_i of node density values."""
     g = np.asarray(density, dtype=float)
@@ -219,7 +169,8 @@ def standard_hamiltonian(
     coordinate, 60 iterations each; coordinate descent when m > 1) inside its
     neighbor interval.
     """
-    l_vals, _ = _exponent(model, cost, x, p, grid.nodes)
+    x, p = _as_pair(x, p)
+    l_vals = _exponent(p, *_node_fields(model, cost, x, grid.nodes))
     best_idx = int(np.argmin(l_vals))
     u_best = grid.nodes[best_idx].copy()
     best_val = float(l_vals[best_idx])
@@ -234,7 +185,7 @@ def standard_hamiltonian(
             def coord_obj(val, j=j):
                 u = u_best.copy()
                 u[j] = val
-                return _exponent(model, cost, x, p, u[None, :])[0][0]
+                return _exponent(p, *_node_fields(model, cost, x, u[None, :]))[0]
 
             val, arg = _golden_min(coord_obj, lo, hi, _GOLDEN_ITERS)
             if val < best_val:
@@ -284,7 +235,8 @@ def laplace_gap(
     if any(a1 <= a2 for a1, a2 in zip(alphas, alphas[1:])):
         raise ValueError("alphas must be sorted decreasing")
     log_vol = grid.box.log_volume
-    l_vals, _ = _exponent(model, cost, x, p, grid.nodes)
+    x, p = _as_pair(x, p)
+    l_vals = _exponent(p, *_node_fields(model, cost, x, grid.nodes))
     out = []
     for a in alphas:
         h = float(boltzmann_moments(l_vals, grid.weights, a).value)
@@ -292,21 +244,11 @@ def laplace_gap(
     return out
 
 
-def check_grid_convergence(
-    model: DynamicsModel,
-    cost: CostModel,
-    x,
-    p,
-    alpha: float,
-    box: ControlBox,
-    nodes_per_dim: int = 64,
-) -> float:
-    """Relative gap between the configured grid and a doubled one; warns above
-    GRID_GAP_WARN."""
-    coarse = build_grid(box, nodes_per_dim)
-    fine = build_grid(box, 2 * nodes_per_dim)
-    hc, _ = soft_hamiltonian_batch(model, cost, x, p, alpha, coarse)
-    hf, _ = soft_hamiltonian_batch(model, cost, x, p, alpha, fine)
+def check_grid_convergence(ctx: HamiltonianContext, x, p) -> float:
+    """Relative gap in H between ``ctx``'s grid and one with twice the nodes per
+    axis; warns above GRID_GAP_WARN."""
+    fine = replace(ctx, grid=build_grid(ctx.grid.box, 2 * ctx.grid.nodes_per_dim))
+    hc, hf = ctx.value_batch(x, p), fine.value_batch(x, p)
     gap = float(np.max(np.abs(hc - hf) / (1.0 + np.abs(hf))))
     if gap > GRID_GAP_WARN:
         warnings.warn(
@@ -331,9 +273,14 @@ class HamiltonianContext:
         if not self.alpha > 0:  # also rejects NaN
             raise ValueError("alpha must be > 0")
 
+    def _moments(self, x, p, order) -> BoltzmannMoments:
+        x, p = _as_pair(x, p)
+        f, r = _node_fields(self.model, self.cost, x, self.grid.nodes)
+        return boltzmann_moments(_exponent(p, f, r), self.grid.weights, self.alpha, f, order)
+
     def value_batch(self, x, p) -> np.ndarray:
-        v, _ = soft_hamiltonian_batch(self.model, self.cost, x, p, self.alpha, self.grid)
-        return v
+        """H_a over the leading batch axes of x and p."""
+        return self._moments(x, p, 0).value
 
     def value_grad_batch(self, x, p):
         """(H, grad_p H, grad_x H) at the (B, n) rows of x and p.
@@ -346,8 +293,7 @@ class HamiltonianContext:
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         p = np.atleast_2d(np.asarray(p, dtype=float))
-        l_vals, f = _exponent(self.model, self.cost, x, p, self.grid.nodes)
-        moments = boltzmann_moments(l_vals, self.grid.weights, self.alpha, f, order=1)
+        moments = self._moments(x, p, 1)
         fam, running = self.model.family, self.cost.running
         if isinstance(fam, FeatureAffine) and isinstance(running, _SEPARABLE):
             phi = fam.features(self.grid.nodes)  # (N, k)
@@ -365,14 +311,24 @@ class HamiltonianContext:
             )
         return moments.value, moments.gradient, grad_x
 
-    def report(self, x, p, want_gradient=True, want_hessian=False) -> HamiltonianReport:
-        return soft_hamiltonian(
-            self.model, self.cost, x, p, self.alpha, self.grid,
-            want_gradient=want_gradient, want_hessian=want_hessian,
-        )
+    def report(self, x, p, order=1) -> HamiltonianReport:
+        """H at one (x, p); ``order`` 1 adds grad_p H and 2 also the p-Hessian, as in
+        :func:`boltzmann_moments`."""
+        if self.alpha < SMALL_ALPHA_WARN:
+            warnings.warn(
+                "alpha below 1e-3: the integrand is sharply peaked and the fixed "
+                "grid may under-resolve it; consider more nodes",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        moments = self._moments(x, p, order)
+        return HamiltonianReport(float(moments.value), moments.gradient, moments.hessian)
 
     def density(self, x, p) -> np.ndarray:
-        return boltzmann_density(self.model, self.cost, x, p, self.alpha, self.grid)
+        """Boltzmann minimizer density g*(u) = exp(-L/a)/Z at the grid nodes; the
+        node values integrate to one against the grid weights."""
+        moments = self._moments(x, p, 0)
+        return moments.mass / self.grid.weights / moments.total
 
 
 _SEPARABLE = (QuadraticRunning, SeparableRunning)

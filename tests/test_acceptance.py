@@ -39,8 +39,6 @@ from maxent_hjb import (
     run_onpolicy,
     simulate_sampled,
     sinusoidal_baseline,
-    soft_hamiltonian,
-    soft_hamiltonian_batch,
     solve_offpolicy,
     solve_onpolicy,
     standard_hamiltonian,
@@ -80,8 +78,9 @@ def test_criterion_01_soft_hamiltonian_analytic_oracle():
     grid = build_grid(ControlBox(lower=[-1.0], upper=[1.0]), 64)
     worst = 0.0
     for alpha in (0.5, 1.0, 2.0):
+        ctx = HamiltonianContext(model, cost, alpha, grid)
         for p in (-3.0, -1.0, -0.1, 0.1, 1.0, 3.0):
-            rep = soft_hamiltonian(model, cost, [0.0], [p], alpha, grid)
+            rep = ctx.report([0.0], [p])
             worst = max(worst, abs(rep.value - sinh_oracle(p, alpha)))
     _report(1, f"quadrature vs sinh closed form, max err {worst:.2e} <= 1e-8",
             time.time() - started, 1.0, worst <= 1e-8)
@@ -116,6 +115,7 @@ def test_criterion_03_convexity_gradient_hessian():
     model = vdp_plane_model()
     cost = vdp_plane_cost()
     grid = build_grid(vdp_control_box(), 64)
+    ctx = HamiltonianContext(model, cost, 1.0, grid)
     rng = np.random.default_rng(3)
     x = np.array([0.3, -0.2])
     convex_ok = True
@@ -123,22 +123,22 @@ def test_criterion_03_convexity_gradient_hessian():
         p1 = rng.normal(size=2) * 2
         p2 = rng.normal(size=2) * 2
         lam = rng.uniform(0.05, 0.95)
-        h_mid, _ = soft_hamiltonian_batch(model, cost, x, lam * p1 + (1 - lam) * p2, 1.0, grid)
-        h1, _ = soft_hamiltonian_batch(model, cost, x, p1, 1.0, grid)
-        h2, _ = soft_hamiltonian_batch(model, cost, x, p2, 1.0, grid)
+        h_mid = ctx.value_batch(x, lam * p1 + (1 - lam) * p2)
+        h1 = ctx.value_batch(x, p1)
+        h2 = ctx.value_batch(x, p2)
         convex_ok &= float(h_mid) <= lam * float(h1) + (1 - lam) * float(h2) + 1e-9
     grad_ok = True
     hess_ok = True
     for _ in range(20):
         xs = rng.normal(size=2) * 0.7
         ps = rng.normal(size=2)
-        rep = soft_hamiltonian(model, cost, xs, ps, 1.0, grid, want_gradient=True, want_hessian=True)
+        rep = ctx.report(xs, ps, order=2)
         fd = np.zeros(2)
         for i in range(2):
             dp = np.zeros(2)
             dp[i] = 1e-5
-            up = soft_hamiltonian(model, cost, xs, ps + dp, 1.0, grid).value
-            dn = soft_hamiltonian(model, cost, xs, ps - dp, 1.0, grid).value
+            up = ctx.report(xs, ps + dp).value
+            dn = ctx.report(xs, ps - dp).value
             fd[i] = (up - dn) / 2e-5
         grad_ok &= bool(np.all(np.abs(rep.gradient_p - fd) <= 1e-5))
         hess_ok &= float(np.min(np.linalg.eigvalsh(rep.hessian_p))) >= -1e-8 * (

@@ -288,6 +288,20 @@ class TestOnPolicyCollectorExactIdentity:
             assert abs(theta @ z - xi) < 1e-8
 
 
+class TestLearnerConfig:
+    @pytest.mark.parametrize(
+        "key, value",
+        [("delta_t", 0.0), ("delta_t", math.nan), ("n_sub", 1), ("eps_stop", 0.0),
+         ("eps_stop", math.nan), ("max_iters", 0), ("extra_windows", -3),
+         ("settle_band", 0.0), ("settle_band", math.nan), ("eval_horizon", -1.0),
+         ("eval_horizon", math.nan), ("eval_horizon", math.inf)],
+    )
+    def test_bad_value_rejected_at_construction(self, key, value):
+        # the same rules as the CLI's validators, with NaN failing each one
+        with pytest.raises(ValueError, match=key):
+            LearnerConfig(**{key: value})
+
+
 class TestRunOnPolicy:
     def test_fixture_recovery(self, fixture_system, fixture_oracle):
         k0 = np.zeros((2, 3))

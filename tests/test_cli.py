@@ -277,6 +277,10 @@ class TestMainEntry:
             ["lq-onpolicy", "--seed", "-1"],
             ["vdp-control", "--total_t", "2.5", "--window_t", "2.5", "--dt", "0.7"],
             ["ham-sweep", "--model", "lorenz"],
+            # no float key takes a non-finite value
+            ["hjb-compare", "--t", "inf"],
+            ["lq-onpolicy", "--eval_horizon", "inf"],
+            ["vdp-control", "--total_t", "inf"],
         ],
     )
     def test_out_of_range_value_exits_two(self, argv, tmp_path, capsys):

@@ -28,7 +28,7 @@ from maxent_hjb.errors import (
     UnsupportedFamilyError,
 )
 from maxent_hjb.dynamics import DIVERGENCE_NORM, euler_rollout
-from maxent_hjb.soft_hamiltonian import boltzmann_density, grid_entropy
+from maxent_hjb.soft_hamiltonian import HamiltonianContext, grid_entropy
 from maxent_hjb.benchmarks import vdp_plane_model
 
 
@@ -318,7 +318,7 @@ class TestKlFromUniform:
 
     def test_matches_direct_quadrature_of_boltzmann(self, channel_model, zero_cost, unit_box, unit_grid):
         # oracle: direct quadrature of KL = integral g log(g |U|) du
-        dens = boltzmann_density(channel_model, zero_cost, [0.0], [1.0], 1.0, unit_grid)
+        dens = HamiltonianContext(channel_model, zero_cost, 1.0, unit_grid).density([0.0], [1.0])
         h = grid_entropy(dens, unit_grid)
         direct = float(
             np.sum(unit_grid.weights * dens * np.log(np.maximum(dens, 1e-300) * unit_box.volume))

@@ -19,8 +19,6 @@ from maxent_hjb import (
     compare_solutions,
     godunov_flux,
     godunov_solve,
-    soft_hamiltonian,
-    soft_hamiltonian_batch,
 )
 from maxent_hjb.benchmarks import vdp_plane_cost, vdp_plane_model
 from maxent_hjb.errors import DegenerateCflError, NoConvergenceError
@@ -97,20 +95,14 @@ class TestGodunovFlux:
         x = np.array([0.3, -0.7])
         p = np.array([0.5, -1.1])
         flux = godunov_flux(vdp_ctx, x, p, p)
-        h_val = soft_hamiltonian(
-            vdp_ctx.model, vdp_ctx.cost, x, p, vdp_ctx.alpha, vdp_ctx.grid
-        ).value
-        assert flux == h_val
+        assert flux == vdp_ctx.report(x, p).value
 
     def test_min_branch_below_endpoints(self, vdp_ctx):
         x = np.array([0.2, 0.4])
         pm = np.array([-1.5, -0.2])
         pp = np.array([1.0, 0.8])
         flux = godunov_flux(vdp_ctx, x, pm, pp)
-        ends = [
-            soft_hamiltonian(vdp_ctx.model, vdp_ctx.cost, x, q, 1.0, vdp_ctx.grid).value
-            for q in (pm, pp)
-        ]
+        ends = [vdp_ctx.report(x, q).value for q in (pm, pp)]
         assert flux <= min(ends) + 1e-12
 
     def test_min_branch_matches_dense_scan(self):
@@ -124,9 +116,7 @@ class TestGodunovFlux:
         flux = godunov_flux(ctx, [0.0, 0.0], pm, pp)
         dense = np.linspace(-2.0, 1.5, 10_001)
         p_rows = np.stack([dense, np.full_like(dense, 0.3)], axis=-1)
-        vals, _ = soft_hamiltonian_batch(
-            model, cost, np.zeros((len(dense), 2)), p_rows, 1.0, grid
-        )
+        vals = ctx.value_batch(np.zeros((len(dense), 2)), p_rows)
         assert flux == pytest.approx(float(vals.min()), abs=1e-6)
 
     def test_max_branch_takes_larger_endpoint(self, vdp_ctx):
@@ -137,9 +127,7 @@ class TestGodunovFlux:
         candidates = []
         for p1 in (pm[0], pp[0]):
             q = np.array([p1, 0.25 * 0.0])
-            candidates.append(
-                soft_hamiltonian(vdp_ctx.model, vdp_ctx.cost, x, q, 1.0, vdp_ctx.grid).value
-            )
+            candidates.append(vdp_ctx.report(x, q).value)
         assert flux >= max(candidates) - 1e-9
 
     def test_newton_cap_raises(self, vdp_ctx, monkeypatch):
@@ -156,6 +144,12 @@ class TestGodunovFlux:
 
 
 class TestGodunovSolve:
+    @pytest.mark.parametrize("t_final", [0.0, -0.1, math.nan, math.inf])
+    def test_horizon_must_be_finite_and_positive(self, vdp_ctx, t_final):
+        g = Grid2D(-1.0, 1.0, -1.0, 1.0, 8, 8)
+        with pytest.raises(ValueError, match="t_final"):
+            godunov_solve(vdp_ctx, L1Terminal(), g, t_final)
+
     def test_constant_hamiltonian_exact(self):
         # f == 0: H = alpha log|U| everywhere, so W(T) = q - T alpha log|U|
         model = DynamicsModel(
@@ -284,9 +278,7 @@ class TestGodunovSolve:
         t_final = 0.2
         sol = godunov_solve(vdp_ctx, Const(), g, t_final)
         pts = g.points()
-        h0, _ = soft_hamiltonian_batch(
-            vdp_ctx.model, vdp_ctx.cost, pts, np.zeros_like(pts), 1.0, vdp_ctx.grid
-        )
+        h0 = vdp_ctx.value_batch(pts, np.zeros_like(pts))
         # gradients develop after the first step, so allow a 5% envelope over
         # the flat-field Hamiltonian magnitude
         bound = 2.0 + 1.05 * t_final * float(np.max(np.abs(h0)))

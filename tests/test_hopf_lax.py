@@ -22,8 +22,6 @@ from maxent_hjb import (
     legendre_transform,
     receding_horizon_control,
     sample_feedback,
-    soft_hamiltonian_batch,
-    synthesize_feedback,
     value_surface,
 )
 from maxent_hjb import hopf_lax
@@ -90,6 +88,11 @@ class TestHopfLaxConfig:
     def test_simplex_iters_below_one_rejected(self, iters):
         with pytest.raises(ValueError, match="simplex_iters"):
             HopfLaxConfig(simplex_iters=iters)
+
+    @pytest.mark.parametrize("key", ["ode_step", "start_radius"])
+    def test_nan_step_or_radius_rejected(self, key):
+        with pytest.raises(ValueError, match=key):
+            HopfLaxConfig(**{key: math.nan})
 
 
 class TestCharacteristics:
@@ -183,10 +186,7 @@ class TestHopfLaxValue:
         )
         est = hopf_lax_value(channel_ctx, q, [x], t, cfg)
         vs = np.linspace(-6, 6, 20_001)
-        h_vals, _ = soft_hamiltonian_batch(
-            channel_ctx.model, channel_ctx.cost,
-            np.zeros((len(vs), 1)), vs[:, None], channel_ctx.alpha, channel_ctx.grid,
-        )
+        h_vals = channel_ctx.value_batch(np.zeros((len(vs), 1)), vs[:, None])
         oracle = np.max(x * vs - 0.5 * vs**2 - t * h_vals)
         assert est.value == pytest.approx(float(oracle), abs=1e-6)
 
@@ -305,7 +305,7 @@ class TestValueSurface:
         assert np.array_equal(w1, w2)
 
     @pytest.mark.parametrize("bad", [{"warm_iters": 0}, {"n_random": -1}, {"n_bands": 0},
-                                     {"t": 0.0}, {"t": -0.1}])
+                                     {"t": 0.0}, {"t": -0.1}, {"t": math.inf}, {"t": math.nan}])
     def test_out_of_range_keyword_rejected_before_any_band(self, lq_ctx, monkeypatch, bad):
         monkeypatch.setattr(hopf_lax, "_sweep_band", lambda *args: pytest.fail("a band ran"))
         grid = np.linspace(-0.5, 0.5, 8)
@@ -345,39 +345,23 @@ class TestValueSurface:
 
 class TestFeedbackSynthesis:
     def test_uniform_at_zero_costate(self, channel_ctx):
-        from maxent_hjb import ValueEstimate
-
-        est = ValueEstimate(
-            value=0.0, argmin_v=np.zeros(1), blown_up_fraction=0.0
-        )
-        dens = synthesize_feedback(channel_ctx, est, [0.0])
+        dens = channel_ctx.density([0.0], np.zeros(1))
         assert np.allclose(dens, 0.5, atol=1e-13)
 
     def test_analytic_normalizer(self):
-        from maxent_hjb import ValueEstimate
-
         model = linear_channel_model()
         cost = zero_scalar_cost(alpha=1.0)
         grid = build_grid(ControlBox(lower=[-1.0], upper=[1.0]), 64)
         ctx = HamiltonianContext(model=model, cost=cost, alpha=1.0, grid=grid)
-        est = ValueEstimate(
-            value=0.0, argmin_v=np.ones(1), blown_up_fraction=0.0
-        )
-        dens = synthesize_feedback(ctx, est, [0.0])
+        dens = ctx.density([0.0], np.ones(1))
         expected = np.exp(-grid.nodes[:, 0]) / (math.e - 1.0 / math.e)
         assert np.allclose(dens, expected, atol=1e-8)
 
     def test_density_normalization_on_states(self, lq_ctx):
-        from maxent_hjb import ValueEstimate
-
         rng = np.random.default_rng(3)
         for _ in range(5):
-            est = ValueEstimate(
-                value=0.0,
-                argmin_v=rng.normal(size=2),
-                blown_up_fraction=0.0,
-            )
-            dens = synthesize_feedback(lq_ctx, est, rng.normal(size=2))
+            costate = rng.normal(size=2)
+            dens = lq_ctx.density(rng.normal(size=2), costate)
             assert np.sum(lq_ctx.grid.weights * dens) == pytest.approx(1.0, abs=1e-10)
 
     def test_sampling_matches_density_moments(self, channel_ctx):
@@ -522,6 +506,11 @@ class TestRecedingHorizon:
     )
     def test_window_steps_of_accepted_configs(self, total_t, window_t, dt, expected):
         assert window_steps(total_t, window_t, dt) == expected
+
+    @pytest.mark.parametrize("total_t", [math.inf, -math.inf, math.nan])
+    def test_window_steps_rejects_non_finite_total(self, total_t):
+        with pytest.raises(ValueError, match="does not divide"):
+            window_steps(total_t, 2.5, 0.5)
 
     @pytest.mark.slow
     def test_vdp_closed_loop_beats_uncontrolled(self):

@@ -17,8 +17,6 @@ from maxent_hjb import (
     godunov_flux,
     kleinman_iterate,
     make_stable_system,
-    soft_hamiltonian,
-    soft_hamiltonian_batch,
 )
 from maxent_hjb.adaptive_dp import _euler_steps, _rollout, _Stream
 from maxent_hjb.benchmarks import vdp_control_box, vdp_plane_cost, vdp_plane_model
@@ -32,11 +30,17 @@ from maxent_hjb.lq import (
     svec,
     svec_to_mat,
 )
-from maxent_hjb.soft_hamiltonian import _exponent
+from maxent_hjb.soft_hamiltonian import _exponent, _node_fields
 
 MODEL = vdp_plane_model()
 COST = vdp_plane_cost()
 GRID = build_grid(vdp_control_box(), nodes_per_dim=32)
+
+
+def _ctx(alpha, cost=COST):
+    """The context of MODEL and GRID at one temperature."""
+    return HamiltonianContext(MODEL, cost, alpha, GRID)
+
 
 coord = st.floats(-2.0, 2.0, allow_nan=False)
 pair = st.tuples(coord, coord).map(np.array)
@@ -50,9 +54,10 @@ SETTINGS = settings(max_examples=25, deadline=None)
 def test_scalar_equals_batch_rows(xp, alpha):
     xs = np.array([x for x, _ in xp])
     ps = np.array([p for _, p in xp])
-    values, grads = soft_hamiltonian_batch(MODEL, COST, xs, ps, alpha, GRID, want_gradient=True)
+    ctx = _ctx(alpha)
+    values, grads, _ = ctx.value_grad_batch(xs, ps)
     for x, p, value, grad in zip(xs, ps, values, grads):
-        rep = soft_hamiltonian(MODEL, COST, x, p, alpha, GRID, want_gradient=True)
+        rep = ctx.report(x, p)
         assert rep.value == value
         assert np.array_equal(rep.gradient_p, grad)
 
@@ -65,15 +70,16 @@ def test_running_cost_shift(x, p, alpha, c):
         terminal=COST.terminal,
         alpha=COST.alpha,
     )
-    base = soft_hamiltonian(MODEL, COST, x, p, alpha, GRID).value
-    moved = soft_hamiltonian(MODEL, shifted, x, p, alpha, GRID).value
+    base = _ctx(alpha).report(x, p).value
+    moved = _ctx(alpha, shifted).report(x, p).value
     assert moved == pytest.approx(base - c, abs=1e-12 * (1.0 + abs(c) + abs(base)))
 
 
 @SETTINGS
 @given(pair, pair, st.sampled_from([0.3, 1.0, 4.0]))
 def test_hessian_symmetric_psd_and_matches_gradient_differences(x, p, alpha):
-    rep = soft_hamiltonian(MODEL, COST, x, p, alpha, GRID, want_gradient=True, want_hessian=True)
+    ctx = _ctx(alpha)
+    rep = ctx.report(x, p, order=2)
     hess = rep.hessian_p
     assert np.array_equal(hess, hess.T)
     assert np.min(np.linalg.eigvalsh(hess)) >= -1e-10 * (1.0 + np.trace(hess))
@@ -82,8 +88,8 @@ def test_hessian_symmetric_psd_and_matches_gradient_differences(x, p, alpha):
     for i in range(2):
         dp = np.zeros(2)
         dp[i] = step
-        up = soft_hamiltonian(MODEL, COST, x, p + dp, alpha, GRID, want_gradient=True)
-        dn = soft_hamiltonian(MODEL, COST, x, p - dp, alpha, GRID, want_gradient=True)
+        up = ctx.report(x, p + dp)
+        dn = ctx.report(x, p - dp)
         fd[:, i] = (up.gradient_p - dn.gradient_p) / (2.0 * step)
     np.testing.assert_allclose(hess, fd, atol=1e-5 * (1.0 + np.abs(hess).max()))
 
@@ -93,9 +99,7 @@ def test_hessian_symmetric_psd_and_matches_gradient_differences(x, p, alpha):
 def test_convex_in_p_on_the_batch_path(x, p1, p2, lam, alpha):
     # H is a log-sum-exp of functions affine in p, so convexity holds up to rounding
     mid = lam * p1 + (1.0 - lam) * p2
-    values, _ = soft_hamiltonian_batch(
-        MODEL, COST, np.repeat(x[None, :], 3, axis=0), np.array([p1, p2, mid]), alpha, GRID
-    )
+    values = _ctx(alpha).value_batch(np.repeat(x[None, :], 3, axis=0), np.array([p1, p2, mid]))
     chord = lam * values[0] + (1.0 - lam) * values[1]
     assert values[2] <= chord + 1e-12 * (1.0 + abs(values[0]) + abs(values[1]))
 
@@ -125,7 +129,7 @@ def _minimizer_of_h_in_p2(x, p1, alpha):
     lo, hi = -50.0, 50.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        rep = soft_hamiltonian(MODEL, COST, x, np.array([p1, mid]), alpha, GRID, want_gradient=True)
+        rep = _ctx(alpha).report(x, np.array([p1, mid]))
         lo, hi = (mid, hi) if rep.gradient_p[1] < 0.0 else (lo, mid)
     return 0.5 * (lo + hi)
 
@@ -153,10 +157,8 @@ def test_godunov_flux_matches_dense_scan(x, p1, kind, a, b, alpha):
     ctx = HamiltonianContext(model=MODEL, cost=COST, alpha=alpha, grid=GRID)
     flux = godunov_flux(ctx, x, np.array([p1, pm]), np.array([p1, pp]))
     scan = np.linspace(lo, hi, 10_001)
-    l_vals, f = _exponent(
-        MODEL, COST, np.tile(x, (scan.size, 1)), np.column_stack([np.full_like(scan, p1), scan]),
-        GRID.nodes,
-    )
+    f, r = _node_fields(MODEL, COST, np.tile(x, (scan.size, 1)), GRID.nodes)
+    l_vals = _exponent(np.column_stack([np.full_like(scan, p1), scan]), f, r)
     vals = boltzmann_moments(l_vals, GRID.weights, alpha).value
     rounding = 1e-12 * (1.0 + np.abs(vals).max())
     if kind == "maximizing":
@@ -174,7 +176,8 @@ def test_godunov_flux_matches_dense_scan(x, p1, kind, a, b, alpha):
 def test_order_only_selects_the_work(xp, alpha):
     xs = np.array([x for x, _ in xp])
     ps = np.array([p for _, p in xp])
-    l_vals, f = _exponent(MODEL, COST, xs, ps, GRID.nodes)
+    f, r = _node_fields(MODEL, COST, xs, GRID.nodes)
+    l_vals = _exponent(ps, f, r)
     zeroth = boltzmann_moments(l_vals, GRID.weights, alpha)
     first = boltzmann_moments(l_vals, GRID.weights, alpha, f, order=1)
     second = boltzmann_moments(l_vals, GRID.weights, alpha, f, order=2)

@@ -14,13 +14,11 @@ from maxent_hjb import (
     HamiltonianContext,
     Linear,
     QuadraticRunning,
-    boltzmann_density,
+    boltzmann_moments,
     build_grid,
     check_grid_convergence,
     grid_entropy,
     laplace_gap,
-    soft_hamiltonian,
-    soft_hamiltonian_batch,
     standard_hamiltonian,
 )
 from maxent_hjb.benchmarks import vdp4_model, vdp_control_box, vdp_plane_cost, vdp_plane_model
@@ -50,12 +48,12 @@ class TestQuadratureGrid:
 
 class TestSoftHamiltonianValue:
     def test_uniform_integrand(self, channel_model, zero_cost, unit_grid):
-        rep = soft_hamiltonian(channel_model, zero_cost, [0.0], [0.0], 1.0, unit_grid)
+        rep = HamiltonianContext(channel_model, zero_cost, 1.0, unit_grid).report([0.0], [0.0])
         assert rep.value == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_unit_costate(self, channel_model, zero_cost, unit_grid):
         # analytic integral: log(e - e^-1) = 0.8545988385083556
-        rep = soft_hamiltonian(channel_model, zero_cost, [0.0], [1.0], 1.0, unit_grid)
+        rep = HamiltonianContext(channel_model, zero_cost, 1.0, unit_grid).report([0.0], [1.0])
         assert rep.value == pytest.approx(math.log(math.e - 1.0 / math.e), abs=1e-10)
 
     def test_log_partition_of_constant_cost(self, channel_model, unit_grid):
@@ -67,23 +65,24 @@ class TestSoftHamiltonianValue:
             lam=0.0,
             horizon=1.0,
         )
-        rep = soft_hamiltonian(channel_model, cost, [0.0], [0.0], 1.0, unit_grid)
-        assert rep.log_partition == pytest.approx(math.log(2.0) - 3.0, abs=1e-12)
+        alpha = 1.0
+        rep = HamiltonianContext(channel_model, cost, alpha, unit_grid).report([0.0], [0.0])
+        assert rep.value / alpha == pytest.approx(math.log(2.0) - 3.0, abs=1e-12)
 
     @pytest.mark.parametrize("p", [-3.0, -1.0, -0.1, 0.1, 1.0, 3.0])
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_sinh_closed_form(self, channel_model, zero_cost, unit_grid, p, alpha):
-        rep = soft_hamiltonian(channel_model, zero_cost, [0.0], [p], alpha, unit_grid)
+        rep = HamiltonianContext(channel_model, zero_cost, alpha, unit_grid).report([0.0], [p])
         assert abs(rep.value - sinh_oracle(p, alpha)) <= 1e-8
 
-    def test_rejects_nonpositive_alpha(self, channel_model, zero_cost, unit_grid):
+    def test_rejects_nonpositive_alpha(self, unit_grid):
         # the kernel holds the one temperature rule, and no warning comes before it
-        for entry in (soft_hamiltonian, soft_hamiltonian_batch, boltzmann_density):
-            for alpha in (-1.0, 0.0, math.nan):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error", RuntimeWarning)
-                    with pytest.raises(ValueError, match="alpha must be > 0"):
-                        entry(channel_model, zero_cost, [0.0], [1.0], alpha, unit_grid)
+        l_vals = unit_grid.nodes[:, 0]
+        for alpha in (-1.0, 0.0, math.nan):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(ValueError, match="alpha must be > 0"):
+                    boltzmann_moments(l_vals, unit_grid.weights, alpha)
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, math.nan])
     def test_context_rejects_nonpositive_alpha(self, vdp_model, vdp_cost, vdp_grid, alpha):
@@ -95,40 +94,43 @@ class TestSoftHamiltonianValue:
         rng = np.random.default_rng(7)
         xs = rng.normal(size=(10, 2))
         ps = rng.normal(size=(10, 2))
-        vals, _ = soft_hamiltonian_batch(vdp_model, vdp_cost, xs, ps, 1.0, vdp_grid)
+        ctx = HamiltonianContext(vdp_model, vdp_cost, 1.0, vdp_grid)
+        vals = ctx.value_batch(xs, ps)
         for i in range(10):
-            rep = soft_hamiltonian(vdp_model, vdp_cost, xs[i], ps[i], 1.0, vdp_grid)
+            rep = ctx.report(xs[i], ps[i])
             assert vals[i] == pytest.approx(rep.value, abs=0.0)
 
 
 class TestBoltzmannDensity:
     def test_uniform_when_exponent_constant(self, channel_model, zero_cost, unit_grid):
-        dens = boltzmann_density(channel_model, zero_cost, [0.0], [0.0], 1.0, unit_grid)
+        dens = HamiltonianContext(channel_model, zero_cost, 1.0, unit_grid).density([0.0], [0.0])
         assert np.allclose(dens, 0.5, atol=1e-13)
 
     def test_normalization(self, vdp_model, vdp_cost, vdp_grid):
         rng = np.random.default_rng(3)
+        ctx = HamiltonianContext(vdp_model, vdp_cost, 0.7, vdp_grid)
         for _ in range(5):
             x = rng.normal(size=2)
             p = rng.normal(size=2)
-            dens = boltzmann_density(vdp_model, vdp_cost, x, p, 0.7, vdp_grid)
+            dens = ctx.density(x, p)
             assert np.sum(vdp_grid.weights * dens) == pytest.approx(1.0, abs=1e-10)
 
     def test_pointwise_analytic_normalizer(self, channel_model, zero_cost, unit_grid):
         # oracle: g(u) = e^{-u} / (e - e^-1)
-        dens = boltzmann_density(channel_model, zero_cost, [0.0], [1.0], 1.0, unit_grid)
+        dens = HamiltonianContext(channel_model, zero_cost, 1.0, unit_grid).density([0.0], [1.0])
         expected = np.exp(-unit_grid.nodes[:, 0]) / (math.e - 1.0 / math.e)
         assert np.allclose(dens, expected, atol=1e-8)
 
     def test_free_energy_identity(self, vdp_model, vdp_cost, vdp_grid):
         # integral g L - alpha H(g) = -H_alpha on every call
         rng = np.random.default_rng(11)
+        alpha = 0.9
+        ctx = HamiltonianContext(vdp_model, vdp_cost, alpha, vdp_grid)
         for _ in range(5):
             x = rng.normal(size=2) * 0.8
             p = rng.normal(size=2)
-            alpha = 0.9
-            dens = boltzmann_density(vdp_model, vdp_cost, x, p, alpha, vdp_grid)
-            rep = soft_hamiltonian(vdp_model, vdp_cost, x, p, alpha, vdp_grid)
+            dens = ctx.density(x, p)
+            rep = ctx.report(x, p)
             f_nodes = vdp_model.eval(
                 np.broadcast_to(x, (vdp_grid.size, 2)), vdp_grid.nodes
             )
@@ -218,27 +220,27 @@ class TestLaplaceGap:
 class TestDerivativeChecks:
     def test_gradient_matches_central_differences(self, vdp_model, vdp_cost, vdp_grid):
         rng = np.random.default_rng(17)
+        ctx = HamiltonianContext(vdp_model, vdp_cost, 1.0, vdp_grid)
         for _ in range(10):
             x = rng.normal(size=2) * 0.7
             p = rng.normal(size=2)
-            rep = soft_hamiltonian(vdp_model, vdp_cost, x, p, 1.0, vdp_grid, want_gradient=True)
+            rep = ctx.report(x, p)
             fd = np.zeros(2)
             for i in range(2):
                 dp = np.zeros(2)
                 dp[i] = 1e-5
-                up = soft_hamiltonian(vdp_model, vdp_cost, x, p + dp, 1.0, vdp_grid).value
-                dn = soft_hamiltonian(vdp_model, vdp_cost, x, p - dp, 1.0, vdp_grid).value
+                up = ctx.report(x, p + dp).value
+                dn = ctx.report(x, p - dp).value
                 fd[i] = (up - dn) / 2e-5
             assert np.allclose(rep.gradient_p, fd, atol=1e-5)
 
     def test_hessian_psd_and_matches_gradient_differences(self, vdp_model, vdp_cost, vdp_grid):
         rng = np.random.default_rng(23)
+        ctx = HamiltonianContext(vdp_model, vdp_cost, 1.0, vdp_grid)
         for _ in range(5):
             x = rng.normal(size=2) * 0.7
             p = rng.normal(size=2)
-            rep = soft_hamiltonian(
-                vdp_model, vdp_cost, x, p, 1.0, vdp_grid, want_gradient=True, want_hessian=True
-            )
+            rep = ctx.report(x, p, order=2)
             assert np.allclose(rep.hessian_p, rep.hessian_p.T, atol=1e-10)
             min_eig = np.min(np.linalg.eigvalsh(rep.hessian_p))
             assert min_eig >= -1e-8 * (1.0 + np.trace(rep.hessian_p))
@@ -246,36 +248,34 @@ class TestDerivativeChecks:
             for i in range(2):
                 dp = np.zeros(2)
                 dp[i] = 1e-5
-                gp = soft_hamiltonian(
-                    vdp_model, vdp_cost, x, p + dp, 1.0, vdp_grid, want_gradient=True
-                ).gradient_p
-                gm = soft_hamiltonian(
-                    vdp_model, vdp_cost, x, p - dp, 1.0, vdp_grid, want_gradient=True
-                ).gradient_p
+                gp = ctx.report(x, p + dp).gradient_p
+                gm = ctx.report(x, p - dp).gradient_p
                 fd[:, i] = (gp - gm) / 2e-5
             assert np.allclose(rep.hessian_p, fd, atol=1e-4)
 
     def test_convexity_in_p(self, vdp_model, vdp_cost, vdp_grid):
         rng = np.random.default_rng(29)
         x = np.array([0.3, -0.2])
+        ctx = HamiltonianContext(vdp_model, vdp_cost, 1.0, vdp_grid)
         for _ in range(200):
             p1 = rng.normal(size=2) * 2
             p2 = rng.normal(size=2) * 2
             lam = rng.uniform(0.05, 0.95)
             mid = lam * p1 + (1 - lam) * p2
-            h_mid, _ = soft_hamiltonian_batch(vdp_model, vdp_cost, x, mid, 1.0, vdp_grid)
-            h1, _ = soft_hamiltonian_batch(vdp_model, vdp_cost, x, p1, 1.0, vdp_grid)
-            h2, _ = soft_hamiltonian_batch(vdp_model, vdp_cost, x, p2, 1.0, vdp_grid)
+            h_mid = ctx.value_batch(x, mid)
+            h1 = ctx.value_batch(x, p1)
+            h2 = ctx.value_batch(x, p2)
             assert float(h_mid) <= lam * float(h1) + (1 - lam) * float(h2) + 1e-9
 
     def test_lipschitz_in_p(self, vdp_model, vdp_cost, vdp_grid):
         rng = np.random.default_rng(31)
+        ctx = HamiltonianContext(vdp_model, vdp_cost, 1.0, vdp_grid)
         for _ in range(20):
             x = rng.normal(size=2) * 0.5
             p = rng.normal(size=2)
             q = rng.normal(size=2)
-            hp, _ = soft_hamiltonian_batch(vdp_model, vdp_cost, x, p, 1.0, vdp_grid)
-            hq, _ = soft_hamiltonian_batch(vdp_model, vdp_cost, x, q, 1.0, vdp_grid)
+            hp = ctx.value_batch(x, p)
+            hq = ctx.value_batch(x, q)
             f_nodes = vdp_model.eval(np.broadcast_to(x, (vdp_grid.size, 2)), vdp_grid.nodes)
             f_max = float(np.max(np.linalg.norm(f_nodes, axis=1)))
             assert abs(float(hp) - float(hq)) <= np.linalg.norm(p - q) * f_max * (1 + 1e-8)
@@ -293,21 +293,18 @@ class TestGridSelfCheck:
             lam=0.0,
             horizon=1.0,
         )
-        gap = check_grid_convergence(
-            vdp_model, smooth_cost, np.array([0.2, -0.4]), np.array([0.5, 1.0]), 1.0, vdp_box
-        )
+        ctx = HamiltonianContext(vdp_model, smooth_cost, 1.0, build_grid(vdp_box, 64))
+        gap = check_grid_convergence(ctx, np.array([0.2, -0.4]), np.array([0.5, 1.0]))
         assert gap < 1e-6
 
     def test_sharp_integrand_warns(self, channel_model, zero_cost, unit_box):
         with pytest.warns(RuntimeWarning):
-            check_grid_convergence(
-                channel_model, zero_cost, np.array([0.0]), np.array([3.0]), 0.002,
-                unit_box, nodes_per_dim=8,
-            )
+            ctx = HamiltonianContext(channel_model, zero_cost, 0.002, build_grid(unit_box, 8))
+            check_grid_convergence(ctx, np.array([0.0]), np.array([3.0]))
 
     def test_small_alpha_warns(self, channel_model, zero_cost, unit_grid):
         with pytest.warns(RuntimeWarning):
-            soft_hamiltonian(channel_model, zero_cost, [0.0], [1.0], 5e-4, unit_grid)
+            HamiltonianContext(channel_model, zero_cost, 5e-4, unit_grid).report([0.0], [1.0])
 
 
 def _vdp_plane_reference(x, u):
@@ -412,13 +409,13 @@ class TestStructuralGradient:
         # 2n + 1 times as many, for its central differences of H
         module = importlib.import_module("maxent_hjb.soft_hamiltonian")
         rows = []
-        exponent = module._exponent
+        node_fields = module._node_fields
 
-        def counted(model, cost, x, p, nodes):
+        def counted(model, cost, x, nodes):
             rows.append(np.asarray(x).size // 2)
-            return exponent(model, cost, x, p, nodes)
+            return node_fields(model, cost, x, nodes)
 
-        monkeypatch.setattr(module, "_exponent", counted)
+        monkeypatch.setattr(module, "_node_fields", counted)
         cost = vdp_plane_cost()
         grid = build_grid(vdp_control_box(), 8)
         x = np.full((10, 2), 0.3)

@@ -1,10 +1,14 @@
-"""Print the size figures of ``src/maxent_hjb``: lines and settable values.
+"""Print the size figures of ``src/maxent_hjb``: lines, settable values and
+exported names.
 
 Settable values are the parameters with a default of module-level functions
 and of the methods of module-level classes, plus the fields of dataclasses and
 ``NamedTuple`` classes that the constructor takes with a default or a
 ``default_factory``. Nested functions and ``field(init=False)`` are not
 counted.
+
+Exported names are the public names that ``__init__.py`` imports from the
+package's modules.
 
 Usage: python tools/size_report.py [package_dir]
 """
@@ -63,6 +67,15 @@ def settable_values(tree: ast.Module) -> int:
     return count
 
 
+def exported_names(tree: ast.Module) -> int:
+    return sum(
+        not (alias.asname or alias.name).startswith("_")
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level >= 1
+        for alias in node.names
+    )
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     package = Path(argv[0]) if argv else PACKAGE
@@ -73,6 +86,7 @@ def main(argv=None) -> int:
         settable += settable_values(ast.parse(text))
     print(f"lines: {lines}")
     print(f"settable values: {settable}")
+    print(f"exported names: {exported_names(ast.parse((package / '__init__.py').read_text()))}")
     return 0
 
 
