@@ -56,7 +56,7 @@ class LearnerConfig:
     def __post_init__(self):
         # each rule holds as written, so a NaN fails every one
         for holds, rule in (
-            (self.delta_t > 0, "delta_t > 0"),
+            (0 < self.delta_t < math.inf, "delta_t finite and > 0"),
             (self.n_sub >= 2, "n_sub >= 2"),
             (self.eps_stop > 0, "eps_stop > 0"),
             (self.max_iters >= 1, "max_iters >= 1"),

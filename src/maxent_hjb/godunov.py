@@ -6,7 +6,11 @@ Hamiltonian. The soft Hamiltonian is a log-sum-exp, smooth and strictly convex
 in the costate, so on a minimizing interval [lo, hi] the flux is H at
 clip(p*, lo, hi), where dH/dp_i(p*) = -E[f_i] = 0 (Osher & Shu 1991). p* is
 found by Newton with the kernel's own curvature Var[f_i]/alpha, safeguarded by
-a bisection bracket; maxima sit at the interval endpoints.
+a bisection bracket; maxima sit at the interval endpoints. Where f_i does not
+depend on the control (the Van der Pol x1' = x2), H is affine in p_i with slope
+-f_i, and the extremum is the upwind endpoint, found without a kernel pass. The
+flux is the H that the last coordinate's search computed at its optimizer; only
+rows without one (degenerate or upwinded) take a final evaluation.
 
 The solver precomputes f(x_ij, u_q) and r(x_ij, u_q) for the static grid once,
 so a Hamiltonian evaluation during time stepping reduces to an exp/sum over
@@ -91,7 +95,9 @@ class GridFunction:
 
 class _CachedHamiltonian:
     """H_a(x_i, .) for a fixed set of states, with f and r precomputed on the
-    control nodes; L is formed by the kernel's own ``_exponent``."""
+    control nodes; L is formed by the kernel's own ``_exponent``. ``control_free``
+    marks the (state, coordinate) pairs whose f_i is one value at every node,
+    and ``drift`` holds that value (f at the first node)."""
 
     def __init__(self, ctx: HamiltonianContext, points: np.ndarray):
         self.alpha = ctx.alpha
@@ -100,6 +106,8 @@ class _CachedHamiltonian:
         shape = (points.shape[0], ctx.grid.size, points.shape[1])  # (M, N, n)
         self.f = np.broadcast_to(np.asarray(f, dtype=float), shape).copy()
         self.r = np.broadcast_to(np.asarray(r, dtype=float), shape[:2]).copy()
+        self.drift = self.f[:, 0, :]  # (M, n)
+        self.control_free = np.all(self.f == self.drift[:, None, :], axis=1)
 
     def value(self, p_rows: np.ndarray, rows=None, coord=None, order=0):
         """H at ``p_rows``; at ``order`` >= 1, (H, dH/dp_i, d2H/dp_i^2 or None below
@@ -119,21 +127,26 @@ class _CachedHamiltonian:
 
 
 def _newton_min(derivs, lo, hi, start):
-    """Per-row argmin over [lo, hi] of a smooth convex function whose (value, slope,
-    curvature) at v on rows idx are ``derivs(v, idx, order)``. Rows with slope >= 0
-    at lo (<= 0 at hi), read at order 1, stop there; the rest run Newton from ``start``
-    in a bracket narrowed by the slope's sign, bisecting when the Newton point leaves
-    it or the curvature is not positive, until a step is <= NEWTON_TOL (1 + |v|).
+    """Per-row (argmin, value there) over [lo, hi] of a smooth convex function whose
+    (value, slope, curvature) at v on rows idx are ``derivs(v, idx, order)``. Rows
+    with slope >= 0 at lo (<= 0 at hi), read at order 1, stop there with that
+    endpoint's value; the rest run Newton from ``start`` in a bracket narrowed by
+    the slope's sign, bisecting when the Newton point leaves it or the curvature
+    is not positive, until a step is <= NEWTON_TOL (1 + |v|), and keep the value
+    at the last Newton point. The value is NaN on rows whose slopes read NaN,
+    which stay at ``start`` unevaluated.
     """
     every = np.arange(lo.size)
-    (_, d_lo, _), (_, d_hi, _) = derivs(lo, every, 1), derivs(hi, every, 1)
-    arg = np.where(d_lo >= 0.0, lo, np.where(d_hi <= 0.0, hi, start))
+    (h_lo, d_lo, _), (h_hi, d_hi, _) = derivs(lo, every, 1), derivs(hi, every, 1)
+    at_lo, at_hi = d_lo >= 0.0, d_hi <= 0.0
+    arg = np.where(at_lo, lo, np.where(at_hi, hi, start))
+    value = np.where(at_lo, h_lo, np.where(at_hi, h_hi, np.nan))
     active = np.where((d_lo < 0.0) & (d_hi > 0.0))[0]
     a, b, v = lo[active], hi[active], start[active]
     for _ in range(NEWTON_ITERS):
         if active.size == 0:
-            return arg
-        _, d, h = derivs(v, active, 2)
+            return arg, value
+        h_v, d, h = derivs(v, active, 2)
         a, b = np.where(d < 0.0, v, a), np.where(d > 0.0, v, b)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = v - d / h
@@ -141,21 +154,27 @@ def _newton_min(derivs, lo, hi, start):
         step = np.fmin(np.abs(newton - v), np.abs(v_next - v))
         done = step <= NEWTON_TOL * (1.0 + np.abs(v))
         arg[active[done]] = v[done]
+        value[active[done]] = h_v[done]
         active, a, b, v = active[~done], a[~done], b[~done], v_next[~done]
     if active.size:
         raise NoConvergenceError(f"Godunov flux: {active.size} rows unconverged by Newton")
-    return arg
+    return arg, value
 
 
-def _godunov_extremize(value_fn, p_minus, p_plus):
-    """Dimension-by-dimension Godunov extremization of H over gradient intervals.
+def _godunov_extremize(cached: _CachedHamiltonian, p_minus, p_plus):
+    """Dimension-by-dimension Godunov extremization of H over gradient intervals;
+    returns (flux, optimizers).
 
-    ``value_fn(p_rows, rows, coord=None, order=0)`` evaluates H at full costate
-    rows (``rows`` is an optional index subset), with its p_coord-derivatives
-    up to ``order``. Coordinates are processed in order: extremized
-    coordinates stay at their optimizers, pending ones at interval midpoints.
-    Minimizing branches (p_minus[i] <= p_plus[i]) use ``_newton_min``; maximizing
-    branches compare the endpoints (convexity puts maxima there).
+    ``cached.value`` evaluates H at full costate rows, with its p_coord-derivatives
+    on request. Coordinates are processed in order: extremized coordinates stay
+    at their optimizers, pending ones at interval midpoints. A coordinate whose
+    f_i is ``control_free`` has H affine in p_i with slope -f_i, so it takes the
+    upwind endpoint with no kernel pass: hi when f_i > 0 on a minimizing branch
+    (p_minus[i] <= p_plus[i]) or f_i < 0 on a maximizing one, else lo. Other
+    minimizing branches use ``_newton_min``; other maximizing branches compare
+    the endpoints (convexity puts maxima there). The flux is the H that the last
+    coordinate's search computed at its optimizer; rows without one (degenerate,
+    upwinded, or NaN) take one final ``cached.value`` pass.
     """
     p_minus = np.atleast_2d(np.asarray(p_minus, dtype=float))
     p_plus = np.atleast_2d(np.asarray(p_plus, dtype=float))
@@ -168,26 +187,36 @@ def _godunov_extremize(value_fn, p_minus, p_plus):
         hi = np.maximum(pm, pp)
         degenerate = hi - lo <= 0.0
         arg = np.where(degenerate, lo, p_work[:, i])
+        upwind = cached.control_free[:, i] & ~degenerate
+        f_i = cached.drift[:, i]
+        arg[upwind] = np.where(np.where(pm <= pp, f_i > 0.0, f_i < 0.0), hi, lo)[upwind]
+        settled = degenerate | upwind
+        value = np.full(lo.size, np.nan)
 
         def coord_eval(vals, rows, order=0):
-            p_eval = (p_work if rows is None else p_work[rows]).copy()
+            p_eval = p_work[rows].copy()
             p_eval[:, i] = vals
-            return value_fn(p_eval, rows, i, order)
+            return cached.value(p_eval, rows, i, order)
 
-        search = (pm <= pp) & ~degenerate
+        search = (pm <= pp) & ~settled
         if np.any(search):
             rows = np.where(search)[0]
-            arg[rows] = _newton_min(
+            arg[rows], value[rows] = _newton_min(
                 lambda v, idx, order: coord_eval(v, rows[idx], order), lo[rows], hi[rows], arg[rows]
             )
-        maxi = (pm > pp) & ~degenerate
+        maxi = (pm > pp) & ~settled
         if np.any(maxi):
             rows = np.where(maxi)[0]
-            f_lo = coord_eval(lo[rows], rows)
-            f_hi = coord_eval(hi[rows], rows)
-            arg[rows] = np.where(f_lo >= f_hi, lo[rows], hi[rows])
+            h_lo = coord_eval(lo[rows], rows)
+            h_hi = coord_eval(hi[rows], rows)
+            take_lo = h_lo >= h_hi
+            arg[rows] = np.where(take_lo, lo[rows], hi[rows])
+            value[rows] = np.where(take_lo, h_lo, h_hi)
         p_work[:, i] = arg
-    return value_fn(p_work, None), p_work
+    rest = np.where(np.isnan(value))[0]
+    if rest.size:
+        value[rest] = cached.value(p_work[rest], None if rest.size == lo.size else rest)
+    return value, p_work
 
 
 def godunov_flux(ctx: HamiltonianContext, x_cell, p_minus, p_plus) -> float:
@@ -197,7 +226,7 @@ def godunov_flux(ctx: HamiltonianContext, x_cell, p_minus, p_plus) -> float:
     evaluation. It runs the solver's own cached-Hamiltonian path.
     """
     cached = _CachedHamiltonian(ctx, np.atleast_2d(np.asarray(x_cell, dtype=float)))
-    vals, _ = _godunov_extremize(cached.value, p_minus, p_plus)
+    vals, _ = _godunov_extremize(cached, p_minus, p_plus)
     return float(vals[0])
 
 
@@ -263,7 +292,7 @@ def godunov_solve(
         step_dt = min(dt, t_final - t)
         p_m = np.stack([dm_x, dm_y], axis=-1).reshape(-1, 2)
         p_p = np.stack([dp_x, dp_y], axis=-1).reshape(-1, 2)
-        flux, _ = _godunov_extremize(cached.value, p_m, p_p)
+        flux, _ = _godunov_extremize(cached, p_m, p_p)
         w = w - step_dt * flux.reshape(grid.nx, grid.ny)
         t += step_dt
     else:

@@ -291,8 +291,8 @@ class TestOnPolicyCollectorExactIdentity:
 class TestLearnerConfig:
     @pytest.mark.parametrize(
         "key, value",
-        [("delta_t", 0.0), ("delta_t", math.nan), ("n_sub", 1), ("eps_stop", 0.0),
-         ("eps_stop", math.nan), ("max_iters", 0), ("extra_windows", -3),
+        [("delta_t", 0.0), ("delta_t", math.nan), ("delta_t", math.inf), ("n_sub", 1),
+         ("eps_stop", 0.0), ("eps_stop", math.nan), ("max_iters", 0), ("extra_windows", -3),
          ("settle_band", 0.0), ("settle_band", math.nan), ("eval_horizon", -1.0),
          ("eval_horizon", math.nan), ("eval_horizon", math.inf)],
     )

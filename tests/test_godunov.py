@@ -46,6 +46,26 @@ def channel_2d_model():
     )
 
 
+def sheared_channel_model():
+    """f(x, u) = (u, x1): the second coordinate is control-free, with the sign of x1."""
+    return DynamicsModel(
+        2, 1, Generic(lambda x, u: np.stack(np.broadcast_arrays(u[..., 0], x[..., 0]), axis=-1))
+    )
+
+
+def count_kernel_rows(monkeypatch):
+    """Record the rows of every Godunov call of the Boltzmann kernel in a list."""
+    rows = []
+    kernel = godunov_module.boltzmann_moments
+
+    def counting(l_vals, *args, **kwargs):
+        rows.append(l_vals.shape[0])
+        return kernel(l_vals, *args, **kwargs)
+
+    monkeypatch.setattr(godunov_module, "boltzmann_moments", counting)
+    return rows
+
+
 def planar_channel_model():
     """f(x, u) = u with u in a 2-D box."""
     return DynamicsModel(2, 2, Generic(lambda x, u: u + 0.0 * x))
@@ -136,11 +156,42 @@ class TestGodunovFlux:
         cached = _CachedHamiltonian(vdp_ctx, np.array([[0.2, 0.4]]))
         pm = np.array([[0.3, -1.5]])
         pp = np.array([[0.3, 1.0]])
-        _, p_star = _godunov_extremize(cached.value, pm, pp)
+        _, p_star = _godunov_extremize(cached, pm, pp)
         assert -1.5 < p_star[0, 1] < 1.0 and abs(p_star[0, 1] + 0.25) > 1e-3
         monkeypatch.setattr(godunov_module, "NEWTON_ITERS", 1)
         with pytest.raises(NoConvergenceError):
-            _godunov_extremize(cached.value, pm, pp)
+            _godunov_extremize(cached, pm, pp)
+
+
+class TestUpwindControlFree:
+    # f2 = x1 > 0, < 0 and = 0: H is affine in p2 with slope -x1
+    STATES = np.array([[0.5, 0.0], [-0.5, 0.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("minimizing", [True, False])
+    def test_endpoint_matches_dense_scan_without_kernel_rows(self, minimizing, monkeypatch):
+        grid = build_grid(ControlBox(lower=[-1.0], upper=[1.0]), 32)
+        ctx = HamiltonianContext(
+            model=sheared_channel_model(), cost=zero_cost_2d(), alpha=1.0, grid=grid
+        )
+        cached = _CachedHamiltonian(ctx, self.STATES)
+        assert np.array_equal(cached.control_free, [[False, True]] * 3)
+        p1, lo, hi = 0.4, -0.8, 1.3
+        start, end = (lo, hi) if minimizing else (hi, lo)
+        pm = np.tile([p1, start], (3, 1))
+        pp = np.tile([p1, end], (3, 1))
+        rows = count_kernel_rows(monkeypatch)
+        flux, p_star = _godunov_extremize(cached, pm, pp)
+        # p1 is held and p2 is upwinded, so only the flux value itself is evaluated
+        assert rows == [3]
+        upwind = [hi, lo, lo] if minimizing else [lo, hi, lo]  # the tie at f2 = 0 picks lo
+        assert p_star[:, 1].tolist() == upwind
+        # oracle: 10^4-point scan of H over [lo, hi] in p2
+        dense = np.linspace(lo, hi, 10_001)
+        p_rows = np.column_stack([np.full_like(dense, p1), dense])
+        for k, x in enumerate(self.STATES):
+            vals = ctx.value_batch(np.tile(x, (dense.size, 1)), p_rows)
+            target = float(vals.min() if minimizing else vals.max())
+            assert flux[k] == pytest.approx(target, rel=0.0, abs=1e-12 * (1.0 + abs(target)))
 
 
 class TestGodunovSolve:
@@ -235,7 +286,7 @@ class TestGodunovSolve:
             dm_x, dp_x, dm_y, dp_y = _one_sided_gradients(field, g.dx, g.dy)
             p_m = np.stack([dm_x, dm_y], axis=-1).reshape(-1, 2)
             p_p = np.stack([dp_x, dp_y], axis=-1).reshape(-1, 2)
-            flux, _ = _godunov_extremize(cached.value, p_m, p_p)
+            flux, _ = _godunov_extremize(cached, p_m, p_p)
             return field - dt_step * flux.reshape(12, 12)
 
         base = step(w)
@@ -266,6 +317,15 @@ class TestGodunovSolve:
         g = Grid2D(-2.0, 2.0, -2.0, 2.0, 21, 21)
         godunov_solve(vdp_ctx, vdp_ctx.cost.terminal, g, 0.1, cfl=0.5)
         assert sum(rows) <= GOLDEN_SEARCH_ROWS / 4
+
+    def test_kernel_rows_with_upwinding(self, vdp_ctx, monkeypatch):
+        # the VdP x1' = x2 is control-free, so only p2 is searched, and the flux
+        # is the H that search left at its optimizer: one 21^2 solve passes
+        # 15,238 rows, where searching both and evaluating the flux again took 33,987
+        rows = count_kernel_rows(monkeypatch)
+        g = Grid2D(-2.0, 2.0, -2.0, 2.0, 21, 21)
+        godunov_solve(vdp_ctx, vdp_ctx.cost.terminal, g, 0.1, cfl=0.5)
+        assert sum(rows) <= 17_000
 
     def test_cfl_stability_on_constant_terminal(self, vdp_ctx):
         # flat initial data: sup|W| grows at most linearly with slope sup|H(.,0)|
