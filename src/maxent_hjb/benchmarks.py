@@ -88,11 +88,6 @@ def vdp4_model() -> DynamicsModel:
 VDP4_X0 = np.array([0.05, 0.25, 0.0, 0.02])
 
 
-def vdp4_cost(alpha: float = 1.0, horizon: float = 2.5) -> CostModel:
-    """The planar cost (r = |x| + |u|, l1 terminal) over one 2.5 s control window."""
-    return vdp_plane_cost(alpha, horizon)
-
-
 def linear_channel_model() -> DynamicsModel:
     """1-D integrator dx/dt = u: the workhorse for analytic Hamiltonian checks."""
     return DynamicsModel(

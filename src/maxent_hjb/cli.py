@@ -29,7 +29,6 @@ from .benchmarks import (
     analytic_linear_channel_hamiltonian,
     linear_channel_model,
     load_fixture,
-    vdp4_cost,
     vdp4_model,
     VDP4_X0,
     vdp_control_box,
@@ -401,7 +400,7 @@ def _run_vdp_control(config: ExperimentConfig, out: Path, produced: list):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     model = vdp4_model()
-    cost = vdp4_cost(alpha=p["alpha"], horizon=p["window_t"])
+    cost = vdp_plane_cost(alpha=p["alpha"], horizon=p["window_t"])
     # the uncontrolled baseline first, so that a diverging one fails before any solve
     steps, h = windows * steps_per_window, p["dt"] * p["dt"]  # the step of the controlled run
     states, _ = euler_rollout(model.eval, VDP4_X0, h, steps, lambda k, x: np.zeros(1))

@@ -4,13 +4,14 @@ Serves as the grid-based cross-validation oracle for the grid-free solver:
 forward Euler in time with the dimension-by-dimension Godunov numerical
 Hamiltonian. The soft Hamiltonian is a log-sum-exp, smooth and strictly convex
 in the costate, so on a minimizing interval [lo, hi] the flux is H at
-clip(p*, lo, hi), where dH/dp_i(p*) = -E[f_i] = 0 (Osher & Shu 1991). p* is
-found by Newton with the kernel's own curvature Var[f_i]/alpha, safeguarded by
-a bisection bracket; maxima sit at the interval endpoints. Where f_i does not
-depend on the control (the Van der Pol x1' = x2), H is affine in p_i with slope
--f_i, and the extremum is the upwind endpoint, found without a kernel pass. The
-flux is the H that the last coordinate's search computed at its optimizer; only
-rows without one (degenerate or upwinded) take a final evaluation.
+clip(p*, lo, hi), where dH/dp_i(p*) = -E[f_i] = 0 (Osher & Shu 1991): a row
+whose slope is >= 0 at lo stops there without reading hi. p* is found by Newton
+with the kernel's own curvature Var[f_i]/alpha, safeguarded by a bisection
+bracket; maxima sit at the interval endpoints. Where f_i does not depend on the
+control (the Van der Pol x1' = x2), H is affine in p_i with slope -f_i, and the
+extremum is the upwind endpoint, found without a kernel pass. The flux is the
+H that the last coordinate's search computed at its optimizer; only rows
+without one (degenerate or upwinded) take a final evaluation.
 
 The solver precomputes f(x_ij, u_q) and r(x_ij, u_q) for the static grid once,
 so a Hamiltonian evaluation during time stepping reduces to an exp/sum over
@@ -129,16 +130,20 @@ class _CachedHamiltonian:
 def _newton_min(derivs, lo, hi, start):
     """Per-row (argmin, value there) over [lo, hi] of a smooth convex function whose
     (value, slope, curvature) at v on rows idx are ``derivs(v, idx, order)``. Rows
-    with slope >= 0 at lo (<= 0 at hi), read at order 1, stop there with that
-    endpoint's value; the rest run Newton from ``start`` in a bracket narrowed by
-    the slope's sign, bisecting when the Newton point leaves it or the curvature
-    is not positive, until a step is <= NEWTON_TOL (1 + |v|), and keep the value
-    at the last Newton point. The value is NaN on rows whose slopes read NaN,
+    with slope >= 0 at lo, read at order 1, stop there with its value; hi is read
+    only on the other rows, which stop there when its slope is <= 0. The rest run
+    Newton from ``start`` in a bracket narrowed by the slope's sign, bisecting
+    when the Newton point leaves it or the curvature is not positive, until a
+    step is <= NEWTON_TOL (1 + |v|), and keep the value at the last Newton point. The value is NaN on rows whose slopes read NaN,
     which stay at ``start`` unevaluated.
     """
-    every = np.arange(lo.size)
-    (h_lo, d_lo, _), (h_hi, d_hi, _) = derivs(lo, every, 1), derivs(hi, every, 1)
-    at_lo, at_hi = d_lo >= 0.0, d_hi <= 0.0
+    h_lo, d_lo, _ = derivs(lo, np.arange(lo.size), 1)
+    at_lo = d_lo >= 0.0
+    h_hi, d_hi = np.full(lo.size, np.nan), np.full(lo.size, np.nan)
+    beyond = np.where(~at_lo)[0]
+    if beyond.size:
+        h_hi[beyond], d_hi[beyond], _ = derivs(hi[beyond], beyond, 1)
+    at_hi = d_hi <= 0.0
     arg = np.where(at_lo, lo, np.where(at_hi, hi, start))
     value = np.where(at_lo, h_lo, np.where(at_hi, h_hi, np.nan))
     active = np.where((d_lo < 0.0) & (d_hi > 0.0))[0]
@@ -251,10 +256,10 @@ def godunov_solve(
     """March the monotone scheme from W(0) = q to time ``t_final``.
 
     The time step is cfl * min(dx, dy) / max|grad_p H| with the speed sampled
-    at the grid's central difference gradients and refreshed every 50 steps. A
-    costate-independent Hamiltonian (zero speed at every probe) is advanced
-    exactly with coarse steps; a vanishing estimate for a genuinely
-    costate-dependent Hamiltonian raises DegenerateCflError.
+    at the grid's central difference gradients and refreshed every 50 steps. H
+    is costate-independent exactly when f is 0 at every cached (grid point,
+    control node) pair; such an H is advanced exactly in steps of t_final / 8.
+    A vanishing speed estimate with any non-zero f raises DegenerateCflError.
     """
     if not (0.0 < cfl <= 0.9):
         raise ValueError("cfl must be in (0, 0.9]")
@@ -265,7 +270,6 @@ def godunov_solve(
     w = np.asarray(q_spec.eval(pts), dtype=float).reshape(grid.nx, grid.ny)
     t = 0.0
     dt = None
-    p_independent = False
     for step in range(MAX_STEPS):
         if t >= t_final - 1e-14:
             break
@@ -275,20 +279,11 @@ def godunov_solve(
                 [0.5 * (dm_x + dp_x), 0.5 * (dm_y + dp_y)], axis=-1
             ).reshape(-1, 2)
             vmax = float(cached.grad_norm(p_central).max())
-            if vmax <= 1e-14:
-                probes = np.array(
-                    [[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+            if vmax <= 1e-14 and np.any(cached.f):
+                raise DegenerateCflError(
+                    "grad_p H vanished at the grid gradients, but f is not zero at every node"
                 )
-                probe_max = max(
-                    float(cached.grad_norm(np.broadcast_to(pr, pts.shape).copy()).max())
-                    for pr in probes
-                )
-                if probe_max > 1e-12:
-                    raise DegenerateCflError(
-                        "grad_p H vanished at the grid gradients but not globally"
-                    )
-                p_independent = True
-            dt = (t_final / 8.0) if p_independent else cfl * min(grid.dx, grid.dy) / vmax
+            dt = (t_final / 8.0) if vmax <= 1e-14 else cfl * min(grid.dx, grid.dy) / vmax
         step_dt = min(dt, t_final - t)
         p_m = np.stack([dm_x, dm_y], axis=-1).reshape(-1, 2)
         p_p = np.stack([dp_x, dp_y], axis=-1).reshape(-1, 2)

@@ -303,15 +303,10 @@ def _pick_best(values, vertices, infeasible):
         raise AllCharacteristicsBlewUpError(
             f"all {values.shape[1]} starts blew up at {dead} of {len(values)} query points"
         )
-    best_vals = np.empty(len(values))
-    best_v = np.empty((len(values), vertices.shape[-1]))
-    for i, (row, verts) in enumerate(zip(values, vertices)):
-        finite_row = np.where(np.isfinite(row), row, math.inf)
-        tied = np.where(finite_row == np.min(finite_row))[0]
-        k = tied[np.lexsort(verts[tied].T[::-1])[0]]
-        best_vals[i] = row[k]
-        best_v[i] = verts[k]
-    return best_vals, best_v
+    finite = np.where(np.isfinite(values), values, math.inf)
+    k = np.lexsort((*np.moveaxis(vertices, -1, 0)[::-1], finite), axis=-1)[:, 0]
+    rows = np.arange(len(values))
+    return values[rows, k], vertices[rows, k]
 
 
 def hopf_lax_value(

@@ -30,8 +30,8 @@ from maxent_hjb.hopf_lax import window_steps
 from maxent_hjb.benchmarks import (
     VDP4_X0,
     linear_channel_model,
-    vdp4_cost,
     vdp4_model,
+    vdp_plane_cost,
 )
 from maxent_hjb.errors import (
     AllCharacteristicsBlewUpError,
@@ -267,6 +267,26 @@ class TestHopfLaxValue:
         )
         with pytest.raises(AllCharacteristicsBlewUpError):
             hopf_lax_value(ctx, QuadraticTerminal(m=[[1.0]]), [3.0], 1.0, cfg)
+
+    def test_pick_best_lowest_finite_value_ties_broken_on_v(self):
+        # NaN and +-inf never win; equal values (-0.0 == 0.0 included) go to the
+        # lexicographically smallest v, and equal v to the earlier start
+        nan, inf = math.nan, math.inf
+        values = np.array([
+            [2.0, nan, 1.0, inf, 1.0, -inf],
+            [0.0, -0.0, 0.0, 3.0, nan, inf],
+            [nan, nan, 5.0, nan, -inf, inf],
+        ])
+        vertices = np.array([
+            [[0.0, 0.0], [-5.0, -5.0], [1.0, 2.0], [-9.0, -9.0], [1.0, -3.0], [-9.0, 0.0]],
+            [[0.5, 1.0], [0.5, -0.0], [0.5, 0.0], [-1.0, -1.0], [-2.0, 0.0], [-3.0, 0.0]],
+            [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+        ])
+        best_vals, best_v = hopf_lax._pick_best(values, vertices, infeasible=False)
+        picks = [4, 1, 2]
+        assert np.array_equal(best_v, vertices[np.arange(3), picks])
+        assert np.array_equal(best_vals, values[np.arange(3), picks])
+        assert np.signbit(best_vals[1]) and np.signbit(best_v[1, 1])
 
     def test_infeasible_transform_raises(self, channel_ctx):
         # l1 transform is +inf outside the unit box; park all starts far away
@@ -515,7 +535,7 @@ class TestRecedingHorizon:
     @pytest.mark.slow
     def test_vdp_closed_loop_beats_uncontrolled(self):
         model = vdp4_model()
-        cost = vdp4_cost(alpha=1.0)
+        cost = vdp_plane_cost(alpha=1.0, horizon=2.5)
         grid = build_grid(ControlBox(lower=[-1.0], upper=[1.0]), 32)
         ctx = HamiltonianContext(model=model, cost=cost, alpha=1.0, grid=grid)
         cfg = HopfLaxConfig(

@@ -10,6 +10,10 @@ counted.
 Exported names are the public names that ``__init__.py`` imports from the
 package's modules.
 
+After the three counts it names each settable value as ``module:Owner.name``
+(Owner is the function, the class, or ``Class.method``) and each exported name
+as ``module:name``, one a line, tagged ``settable`` or ``exported``.
+
 Usage: python tools/size_report.py [package_dir]
 """
 
@@ -22,9 +26,13 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "maxent_hjb"
 
 
-def _defaults(fn: ast.FunctionDef) -> int:
+def _defaults(fn: ast.FunctionDef, owner: str) -> list[str]:
+    """``owner.param`` for each parameter of ``fn`` that has a default."""
     args = fn.args
-    return len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+    positional = [*args.posonlyargs, *args.args]
+    named = positional[len(positional) - len(args.defaults) :]
+    named += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return [f"{owner}.{a.arg}" for a in named]
 
 
 def _name(node: ast.expr) -> str | None:
@@ -52,41 +60,46 @@ def _field_default(value: ast.expr | None) -> bool:
     return True
 
 
-def settable_values(tree: ast.Module) -> int:
-    count = 0
+def settable_values(tree: ast.Module) -> list[str]:
+    """The module's settable values as ``Owner.name``, in source order."""
+    names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            count += _defaults(node)
+            names += _defaults(node, node.name)
         elif isinstance(node, ast.ClassDef):
             has_fields = _has_fields(node)
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    count += _defaults(item)
-                elif has_fields and isinstance(item, ast.AnnAssign):
-                    count += _field_default(item.value)
-    return count
+                    names += _defaults(item, f"{node.name}.{item.name}")
+                elif has_fields and isinstance(item, ast.AnnAssign) and _field_default(item.value):
+                    names.append(f"{node.name}.{item.target.id}")
+    return names
 
 
-def exported_names(tree: ast.Module) -> int:
-    return sum(
-        not (alias.asname or alias.name).startswith("_")
+def exported_names(tree: ast.Module) -> list[str]:
+    """The public names the package imports from its modules, as ``module:name``."""
+    return [
+        f"{node.module}:{alias.asname or alias.name}"
         for node in tree.body
         if isinstance(node, ast.ImportFrom) and node.level >= 1
         for alias in node.names
-    )
+        if not (alias.asname or alias.name).startswith("_")
+    ]
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     package = Path(argv[0]) if argv else PACKAGE
-    lines = settable = 0
+    lines, settable = 0, []
     for path in sorted(package.glob("*.py")):
         text = path.read_text()
         lines += len(text.splitlines())
-        settable += settable_values(ast.parse(text))
+        settable += [f"{path.stem}:{name}" for name in settable_values(ast.parse(text))]
+    exported = exported_names(ast.parse((package / "__init__.py").read_text()))
     print(f"lines: {lines}")
-    print(f"settable values: {settable}")
-    print(f"exported names: {exported_names(ast.parse((package / '__init__.py').read_text()))}")
+    print(f"settable values: {len(settable)}")
+    print(f"exported names: {len(exported)}")
+    print("\n".join([*(f"settable {s}" for s in settable), *(f"exported {e}" for e in exported)]))
     return 0
 
 
