@@ -145,6 +145,8 @@ def write_fixture_files(name: str, out_dir) -> None:
 
 def load_fixture(name: str, lam: float = 1e-10, alpha: float = 1.0) -> LqProblem:
     """Load a packaged fixture system with Q = I, R = I cost weights."""
+    if name not in FIXTURE_SPECS:
+        raise ValueError(f"unknown fixture {name!r}; valid: {', '.join(FIXTURE_SPECS)}")
     base = fixture_dir()
     a = load_matrix(str(base / f"{name}_A.txt"))
     b = load_matrix(str(base / f"{name}_B.txt"))

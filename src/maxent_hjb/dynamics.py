@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -136,22 +135,11 @@ class FeatureAffine:
 
     ``drift(x)`` returns a(x) of shape (..., n); ``input_map(x)`` returns b(x) of
     shape (..., n, k), or one n x k array when b does not depend on x.
-
-    A value-surface sweep with worker processes pickles the model, so the three
-    callables must then be defined at module level.
     """
 
     drift: Callable[[np.ndarray], np.ndarray]
     input_map: Callable[[np.ndarray], np.ndarray]
     features: Callable[[np.ndarray], np.ndarray]
-
-
-def _linear_drift(a, x):
-    return x @ a.T
-
-
-def _constant_input(b, x):
-    return b
 
 
 def Linear(a, b) -> FeatureAffine:
@@ -162,8 +150,7 @@ def Linear(a, b) -> FeatureAffine:
         raise DimensionMismatchError("A must be square")
     if b.ndim != 2 or b.shape[0] != a.shape[0]:
         raise DimensionMismatchError("B must be n x m")
-    drift, input_map = partial(_linear_drift, a), partial(_constant_input, b)
-    return FeatureAffine(drift, input_map, _identity_features)
+    return FeatureAffine(lambda x: x @ a.T, lambda x: b, _identity_features)
 
 
 def ControlAffine(drift, input_map) -> FeatureAffine:
@@ -414,8 +401,8 @@ def simulate_sampled(
     ``steps`` substeps span ``steps * dt**2`` seconds. Controls are recorded at
     every time point including the last (where the draw is not applied).
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be > 0")
+    if not 0.0 < dt < math.inf:  # also rejects NaN
+        raise ValueError("dt must be finite and > 0")
     if steps < 0:
         raise ValueError("steps must be >= 0")
     x = _as_vector(np.atleast_1d(x0), model.state_dim, "x0").astype(float)

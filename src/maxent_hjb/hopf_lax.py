@@ -17,7 +17,6 @@ starts (and many query points, for surface dumps) share each quadrature call.
 from __future__ import annotations
 
 import math
-import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -386,18 +385,24 @@ def value_surface(
     if processes > 1 and len(args) > 1:
         import multiprocessing as mp
 
-        try:
-            pickle.dumps(args)
-        except (pickle.PicklingError, AttributeError, TypeError) as exc:
-            raise MaxEntError(
-                "value_surface with processes > 1 pickles the context for its workers: "
-                f"the model and cost callables must be defined at module level ({exc})"
-            ) from exc
-        with mp.get_context("fork").Pool(min(processes, len(args))) as pool:
-            parts = pool.map(_sweep_band_star, args)
+        # Forked workers inherit the bands through the initializer, which fork
+        # does not pickle; only band indices and value arrays cross the pipe.
+        with mp.get_context("fork").Pool(min(processes, len(args)), _inherit, (args,)) as pool:
+            parts = pool.map(_sweep_inherited_band, range(len(args)))
     else:
         parts = [_sweep_band_star(a) for a in args]
     return np.concatenate(parts, axis=1)
+
+
+_INHERITED: list = []  # a fork worker's band arguments; the parent's copy stays empty
+
+
+def _inherit(args):
+    _INHERITED[:] = args
+
+
+def _sweep_inherited_band(i):
+    return _sweep_band_star(_INHERITED[i])
 
 
 def _sweep_band_star(args):
@@ -539,6 +544,8 @@ def receding_horizon_control(
     share one sampled control. A state that fails ``diverged`` stops the run
     with DivergedTrajectoryError.
     """
+    if replan_every < 1:
+        raise ValueError("replan_every must be >= 1")
     n_windows, steps_per_window = window_steps(total_t, window_t, dt)
     steps = n_windows * steps_per_window
     q_spec = ctx.cost.terminal

@@ -220,6 +220,8 @@ def kleinman_iterate(
 
     ``history``, when given, receives every (P_k, K_{k+1}) pair in order.
     """
+    if not tol > 0.0:  # also rejects NaN
+        raise ValueError("tol must be > 0")
     n, m = prob.n, prob.m
     k = np.zeros((m, n)) if k0 is None else np.asarray(k0, dtype=float)
     shifted_abscissa = spectral_abscissa(prob.a - 0.5 * prob.lam * np.eye(n) - prob.b @ k)

@@ -190,6 +190,13 @@ class TestSimulateSampled:
             simulate_sampled(model, policy, [1.0], dt=1.0, steps=500, seed=0)
         assert err.value.step == 5
 
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
+    def test_dt_must_be_finite_and_positive(self, dt):
+        model = scalar_decay_model()
+        policy = GaussianPolicy(gain=[[0.0]], covariance=[[1.0]])
+        with pytest.raises(ValueError, match="dt"):
+            simulate_sampled(model, policy, [1.0], dt=dt, steps=5, seed=0)
+
     def test_csv_round_trip(self, tmp_path):
         model = scalar_decay_model()
         policy = GaussianPolicy(gain=[[0.1]], covariance=[[0.2]])

@@ -20,7 +20,7 @@ from maxent_hjb import (
     save_matrix,
     solve_lyapunov,
 )
-from maxent_hjb.benchmarks import FIXTURE_SPECS, fixture_dir, write_fixture_files
+from maxent_hjb.benchmarks import FIXTURE_SPECS, fixture_dir, load_fixture, write_fixture_files
 from maxent_hjb.errors import DimensionMismatchError, NotHurwitzError, NotPositiveDefiniteError
 from maxent_hjb.lq import (
     quad_regressor,
@@ -167,6 +167,12 @@ class TestKleinman:
         prob = LqProblem(a=[[1.0]], b=[[1.0]], q=[[1.0]], r=[[1.0]], lam=0.0, alpha=1.0)
         with pytest.raises(NotHurwitzError):
             kleinman_iterate(prob, k0=np.array([[0.0]]))
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
+    def test_tolerance_must_be_positive(self, tol):
+        prob = LqProblem(a=[[0.0]], b=[[1.0]], q=[[1.0]], r=[[1.0]], lam=0.0, alpha=1.0)
+        with pytest.raises(ValueError, match="tol"):
+            kleinman_iterate(prob, k0=np.array([[1.0]]), tol=tol)
 
 
 class TestProblemChecks:
@@ -357,6 +363,10 @@ class TestMatrixFiles:
         for part in ("A", "B"):
             packaged = (fixture_dir() / f"{name}_{part}.txt").read_bytes()
             assert (tmp_path / f"{name}_{part}.txt").read_bytes() == packaged
+
+    def test_unknown_fixture_names_the_valid_ones(self):
+        with pytest.raises(ValueError, match="'foo'.*n3m2, n10m10"):
+            load_fixture("foo")
 
     def test_stabilizability_warning(self):
         # both modes unreachable: the numerical rank check should warn
