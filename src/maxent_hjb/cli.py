@@ -36,7 +36,7 @@ from .benchmarks import (
     vdp_plane_model,
     zero_running_cost,
 )
-from .dynamics import ControlBox, euler_rollout, write_json, write_table
+from .dynamics import ControlBox, Trajectory, euler_rollout, write_json, write_table
 from .errors import ConfigError, DivergedTrajectoryError, MaxEntError
 from .godunov import Grid2D, compare_solutions, godunov_solve
 from .hopf_lax import (
@@ -460,7 +460,11 @@ def _run_lq_learner(config: ExperimentConfig, out: Path, produced: list):
     rel_err = float(np.linalg.norm(report.p_final - oracle.p) / np.linalg.norm(oracle.p))
 
     _artifact(produced, out / "report.json", report.to_json)
-    _artifact(produced, out / "trajectory.csv", report.trajectory.to_csv)
+    # the file holds the delta_t window grid plus the last row; the report used every substep
+    traj, last = report.trajectory, len(report.trajectory) - 1
+    kept = np.r_[0 : last : learner_cfg.n_sub, last]
+    on_grid = Trajectory(traj.times[kept], traj.states[kept], traj.controls[kept])
+    _artifact(produced, out / "trajectory.csv", on_grid.to_csv)
     settling = report.settling_time if math.isfinite(report.settling_time) else None
     summary = {
         "fixture": p["fixture"],

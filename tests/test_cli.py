@@ -6,7 +6,14 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from maxent_hjb import LearnerConfig, kleinman_iterate, load_matrix
+from maxent_hjb import (
+    HiddenLqSystem,
+    LearnerConfig,
+    kleinman_iterate,
+    load_matrix,
+    run_offpolicy,
+    run_onpolicy,
+)
 from maxent_hjb.benchmarks import load_fixture
 from maxent_hjb.cli import _VALIDATORS, SCHEMAS, RunManifest, main, parse_config, run
 from maxent_hjb.errors import ConfigError, MaxEntError
@@ -112,6 +119,42 @@ class TestLqCommands:
         s_on = json.loads((out_on / "summary.json").read_text())
         s_off = json.loads((out_off / "summary.json").read_text())
         assert s_off["total_samples"] < s_on["total_samples"]
+
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [
+            # the rollout ends 0.0005 s past a window boundary, off the grid
+            ("lq-offpolicy", {"fixture": "n3m2", "eval_horizon": "3.0005"}),
+            # the rank count: windows only, no rollout
+            ("lq-onpolicy", {"fixture": "n10m10", "eval_horizon": "0", "eps_stop": "1e9",
+                             "max_iters": "1"}),
+        ],
+    )
+    def test_trajectory_csv_holds_the_window_grid(self, command, overrides, tmp_path):
+        config = parse_config(command, overrides={"out": str(tmp_path / "run"), **overrides}, seed=1)
+        run(config)
+        p = config.params
+        problem = {"fixture", "lam", "alpha"}
+        learner_cfg = LearnerConfig(seed=1, **{k: v for k, v in p.items() if k not in problem})
+        prob = load_fixture(p["fixture"], lam=p["lam"], alpha=p["alpha"])
+        runner = run_onpolicy if command == "lq-onpolicy" else run_offpolicy
+        report = runner(HiddenLqSystem(prob), np.zeros((prob.m, prob.n)), learner_cfg)
+        report.to_json(tmp_path / "report.json")
+        report.trajectory.to_csv(tmp_path / "full.csv")
+
+        header, *rows = (tmp_path / "full.csv").read_text().splitlines(keepends=True)
+        n_sub, last = learner_cfg.n_sub, len(rows) - 1
+        kept = list(range(0, len(rows), n_sub))
+        if command == "lq-offpolicy":
+            assert last % n_sub != 0
+            kept.append(last)
+        else:
+            assert last == n_sub * report.total_samples
+        written = (tmp_path / "run" / "trajectory.csv").read_text()
+        assert written == header + "".join(rows[i] for i in kept)
+        assert (tmp_path / "run" / "report.json").read_bytes() == (
+            tmp_path / "report.json"
+        ).read_bytes()
 
 
 class TestHjbCompareCommand:
