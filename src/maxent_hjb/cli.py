@@ -114,24 +114,26 @@ _HAM_MODELS = {
 
 
 def _numbers(raw: str):
-    """The floats of a comma-separated list, or None if a token is not one."""
+    """The floats of a comma-separated list, or None if a token is not a finite number."""
     try:
-        return [float(tok) for tok in raw.split(",") if tok.strip() != ""]
+        vals = [float(tok) for tok in raw.split(",") if tok.strip() != ""]
     except ValueError:
         return None
+    return vals if all(math.isfinite(v) for v in vals) else None
 
 
 def _check_alphas(raw: str):
     vals = _numbers(raw)
     if vals and len(set(vals)) == len(vals) and all(a > 0 for a in vals):
         return True
-    return "alphas must be distinct numbers > 0, comma-separated"
+    return "alphas must be distinct finite numbers > 0, comma-separated"
 
 
+# the rules of the keys that no library value built in _library_values checks
 _VALIDATORS = {
     "alphas": _check_alphas,
-    "x": lambda v: _numbers(v) is not None or "x must be comma-separated numbers",
-    "p": lambda v: _numbers(v) is not None or "p must be comma-separated numbers",
+    "x": lambda v: _numbers(v) is not None or "x must be comma-separated finite numbers",
+    "p": lambda v: _numbers(v) is not None or "p must be comma-separated finite numbers",
     "model": lambda v: v in _HAM_MODELS or "model must be one of " + ", ".join(_HAM_MODELS),
     "alpha": lambda v: v > 0 or "alpha must be > 0",
     "t": lambda v: v > 0 or "t must be > 0",
@@ -139,27 +141,13 @@ _VALIDATORS = {
     "domain": lambda v: v > 0 or "domain must be > 0",
     "nodes": lambda v: v >= 4 or "nodes must be >= 4",
     "cfl": lambda v: 0 < v <= 0.9 or "cfl must be in (0, 0.9]",
-    "ode_step": lambda v: v > 0 or "ode_step must be > 0",
-    "n_starts": lambda v: v >= 1 or "n_starts must be >= 1",
-    "start_radius": lambda v: v > 0 or "start_radius must be > 0",
-    "simplex_iters": lambda v: v >= 1 or "simplex_iters must be >= 1",
     "warm_iters": lambda v: v >= 1 or "warm_iters must be >= 1",
     "n_random": lambda v: v >= 0 or "n_random must be >= 0",
     "n_bands": lambda v: v >= 1 or "n_bands must be >= 1",
-    "total_t": lambda v: v > 0 or "total_t must be > 0",
-    "window_t": lambda v: v > 0 or "window_t must be > 0",
-    "dt": lambda v: v > 0 or "dt must be > 0",
     "replan_every": lambda v: v >= 1 or "replan_every must be >= 1",
     "fixture": lambda v: v in FIXTURE_SPECS or "fixture must be one of " + ", ".join(FIXTURE_SPECS),
     "lam": lambda v: v >= 0 or "lam must be >= 0",
     "tol": lambda v: v > 0 or "tol must be > 0",
-    "delta_t": lambda v: v > 0 or "delta_t must be > 0",
-    "n_sub": lambda v: v >= 2 or "n_sub must be >= 2",
-    "eps_stop": lambda v: v > 0 or "eps_stop must be > 0",
-    "max_iters": lambda v: v >= 1 or "max_iters must be >= 1",
-    "extra_windows": lambda v: v >= 0 or "extra_windows must be >= 0",
-    "eval_horizon": lambda v: v >= 0 or "eval_horizon must be >= 0",
-    "settle_band": lambda v: v > 0 or "settle_band must be > 0",
 }
 
 
@@ -208,7 +196,7 @@ def _coerce(command: str, key: str, raw: str, where: str):
         raise ConfigError(f"bad value for {key!r} ({where}): {raw!r} is not {typ.__name__}") from exc
     if typ is float and not math.isfinite(value):
         raise ConfigError(f"invalid {key!r} ({where}): {key} must be finite")
-    verdict = _VALIDATORS[key](value)
+    verdict = _VALIDATORS[key](value) if key in _VALIDATORS else True
     if verdict is not True:
         raise ConfigError(f"invalid {key!r} ({where}): {verdict}")
     return value
@@ -225,51 +213,71 @@ def parse_config(
 
     The file is flat ``key = value`` lines; ``[section]`` headers scope keys to
     one command, keys before any section apply globally (only ``seed`` and
-    ``out`` are global). Flags override file values.
+    ``out`` are global). Flags override file values. The library values built
+    from the keys (``_library_values``) check them here, before any work.
     """
     if command not in SCHEMAS:
         raise ConfigError(f"unknown command {command!r}; valid: {', '.join(COMMANDS)}")
     params = {k: default for k, (_, default) in SCHEMAS[command].items()}
-    if path is not None:
-        section = None
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if stripped.startswith("[") and stripped.endswith("]"):
-                section = stripped[1:-1].strip()
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, raw = (part.strip() for part in stripped.split("=", 1))
-            where = f"{path}:{lineno}"
-            if section is None:
-                if key == "seed":
-                    seed = raw
-                elif key == "out":
-                    output_dir = raw
-                else:
-                    raise ConfigError(
-                        f"{where}: key {key!r} outside a command section (only seed/out are global)"
-                    )
-                continue
-            if section != command:
-                continue
-            params[key] = _coerce(command, key, raw, where)
-    for key, raw in (overrides or {}).items():
+    settings, section = [], None  # (key, raw, where): file lines, then flags
+    try:
+        lines = [] if path is None else Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if stripped.startswith("[") and stripped.endswith("]"):
+            section = stripped[1:-1].strip()
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, raw = (part.strip() for part in stripped.split("=", 1))
+        where = f"{path}:{lineno}"
+        if section is None and key not in ("seed", "out"):
+            raise ConfigError(
+                f"{where}: key {key!r} outside a command section (only seed/out are global)"
+            )
+        if section == command and key in ("seed", "out"):
+            _coerce(command, key, raw, where)  # raises: seed and out are not command keys
+        if section in (None, command):
+            settings.append((key, raw, where))
+    settings += [(key, str(raw), "flag") for key, raw in (overrides or {}).items()]
+    for key, raw, where in settings:
         if key == "seed":
             seed = raw
         elif key == "out":
             output_dir = raw
         else:
-            params[key] = _coerce(command, key, str(raw), "flag")
+            params[key] = _coerce(command, key, raw, where)
     try:
         seed = int(seed)
     except ValueError as exc:
         raise ConfigError(f"seed must be an integer, got {seed!r}") from exc
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    return ExperimentConfig(command=command, seed=seed, output_dir=Path(output_dir), params=params)
+    config = ExperimentConfig(command=command, seed=seed, output_dir=Path(output_dir), params=params)
+    _library_values(config)
+    return config
+
+
+def _library_values(config: ExperimentConfig) -> dict:
+    """The library values that take the config's keys; their constructors state
+    those keys' rules, so a ValueError they raise is a ConfigError."""
+    p, values = config.params, {}
+    try:
+        if "ode_step" in p:
+            keys = ("ode_step", "n_starts", "start_radius", "simplex_iters")
+            values["hopf_lax"] = HopfLaxConfig(seed=config.seed, **{key: p[key] for key in keys})
+        if "window_t" in p:
+            values["windows"] = window_steps(p["total_t"], p["window_t"], p["dt"])
+        if "delta_t" in p:
+            learner = {key: value for key, value in p.items() if key not in _LQ_PROBLEM}
+            values["learner"] = LearnerConfig(seed=config.seed, **learner)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return values
 
 
 def _parse_vector(raw: str) -> np.ndarray:
@@ -364,14 +372,7 @@ def _hopf_lax_setup(config: ExperimentConfig, model, cost):
     p = config.params
     grid_q = build_grid(vdp_control_box(), p["nodes"])
     ctx = HamiltonianContext(model=model, cost=cost, alpha=p["alpha"], grid=grid_q)
-    hl_config = HopfLaxConfig(
-        ode_step=p["ode_step"],
-        n_starts=p["n_starts"],
-        start_radius=p["start_radius"],
-        simplex_iters=p["simplex_iters"],
-        seed=config.seed,
-    )
-    return ctx, hl_config
+    return ctx, _library_values(config)["hopf_lax"]
 
 
 def _run_hjb_compare(config: ExperimentConfig, out: Path, produced: list):
@@ -395,10 +396,7 @@ def _run_hjb_compare(config: ExperimentConfig, out: Path, produced: list):
 
 def _run_vdp_control(config: ExperimentConfig, out: Path, produced: list):
     p = config.params
-    try:
-        windows, steps_per_window = window_steps(p["total_t"], p["window_t"], p["dt"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    windows, steps_per_window = _library_values(config)["windows"]
     model = vdp4_model()
     cost = vdp_plane_cost(alpha=p["alpha"], horizon=p["window_t"])
     # the uncontrolled baseline first, so that a diverging one fails before any solve
@@ -452,9 +450,7 @@ def _run_lq_learner(config: ExperimentConfig, out: Path, produced: list):
     prob = load_fixture(p["fixture"], lam=p["lam"], alpha=p["alpha"])
     oracle = kleinman_iterate(prob)
     system = HiddenLqSystem(prob)
-    learner_cfg = LearnerConfig(
-        seed=config.seed, **{key: value for key, value in p.items() if key not in _LQ_PROBLEM}
-    )
+    learner_cfg = _library_values(config)["learner"]
     runner = run_onpolicy if config.command == "lq-onpolicy" else run_offpolicy
     report = runner(system, np.zeros((prob.m, prob.n)), learner_cfg)
     rel_err = float(np.linalg.norm(report.p_final - oracle.p) / np.linalg.norm(oracle.p))
@@ -480,23 +476,21 @@ def _run_lq_learner(config: ExperimentConfig, out: Path, produced: list):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="maxent-hjb", description="max-entropy optimal control experiments"
+        prog="maxent-hjb",
+        allow_abbrev=False,  # a prefix of --help, such as --h, is read as a key
+        usage="%(prog)s <command> [--config FILE] [--seed N] [--out DIR] [--key value ...]",
+        description="max-entropy optimal control experiments",
     )
     parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", default=None, help="key-value config file")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out", default=None, help="output directory")
     args, rest = parser.parse_known_args(argv)
 
     overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out"] = args.out
     flag = None
-    for token in rest:
+    # --key=value reads as --key value
+    tokens = [part for arg in rest for part in (arg.split("=", 1) if arg.startswith("--") else [arg])]
+    for token in tokens:
         if flag is None and not token.startswith("--"):
-            print(f"error: unexpected argument {token!r}", file=sys.stderr)
+            print(f"config error: unexpected argument {token!r}", file=sys.stderr)
             return 2
         if flag is None:
             flag = token
@@ -510,7 +504,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        config = parse_config(args.command, path=args.config, overrides=overrides)
+        config = parse_config(args.command, path=overrides.pop("config", None), overrides=overrides)
         manifest = run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -56,12 +56,12 @@ class HopfLaxConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.ode_step > 0.0:  # also rejects NaN
-            raise ValueError("ode_step must be > 0")
+        if not 0.0 < self.ode_step < math.inf:  # also rejects NaN
+            raise ValueError("ode_step must be finite and > 0")
         if self.n_starts < 1:
             raise ValueError("n_starts must be >= 1")
-        if not self.start_radius > 0.0:
-            raise ValueError("start_radius must be > 0")
+        if not 0.0 < self.start_radius < math.inf:
+            raise ValueError("start_radius must be finite and > 0")
         if self.simplex_iters < 1:
             raise ValueError("simplex_iters must be >= 1")
         if self.formula not in (MIN_FORM, MAX_FORM):
@@ -513,9 +513,13 @@ def _whole_ratio(num: float, den: float):
 def window_steps(total_t: float, window_t: float, dt: float) -> tuple[int, int]:
     """(windows, Euler steps per window) of a receding-horizon run.
 
-    Raises ValueError unless ``window_t`` divides ``total_t`` and the Euler
-    step dt^2 divides ``window_t``, so the run covers exactly ``total_t``.
+    Raises ValueError unless all three are finite and > 0, ``window_t`` divides
+    ``total_t`` and the Euler step dt^2 divides ``window_t``, so the run covers
+    exactly ``total_t``.
     """
+    for name, value in (("total_t", total_t), ("window_t", window_t), ("dt", dt)):
+        if not 0.0 < value < math.inf:  # also rejects NaN
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     windows = _whole_ratio(total_t, window_t)
     if windows is None:
         raise ValueError(f"window_t {window_t} does not divide total_t {total_t}")

@@ -1,3 +1,4 @@
+import inspect
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 from maxent_hjb import (
     HiddenLqSystem,
+    HopfLaxConfig,
     LearnerConfig,
     kleinman_iterate,
     load_matrix,
@@ -17,6 +19,7 @@ from maxent_hjb import (
 from maxent_hjb.benchmarks import load_fixture
 from maxent_hjb.cli import _VALIDATORS, SCHEMAS, RunManifest, main, parse_config, run
 from maxent_hjb.errors import ConfigError, MaxEntError
+from maxent_hjb.hopf_lax import window_steps
 
 
 class TestParseConfig:
@@ -66,6 +69,24 @@ class TestParseConfig:
         path.write_text("[hjb-compare]\ngrid_n = 21\n[ham-sweep]\nnodes = 32\n")
         config = parse_config("ham-sweep", path=path)
         assert config.params["nodes"] == 32
+
+    @pytest.mark.parametrize("key", ["seed", "out"])
+    def test_global_key_inside_a_section_refused(self, key, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"[ham-sweep]\n{key} = 3\n")
+        with pytest.raises(ConfigError, match=f"unknown key '{key}' for ham-sweep .*run.cfg:2"):
+            parse_config("ham-sweep", path=path)
+
+    def test_flags_apply_after_file_lines(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = 4\nout = from-file\n[ham-sweep]\nnodes = 64\n")
+        config = parse_config("ham-sweep", path=path, overrides={"seed": "5", "nodes": "128"})
+        assert (config.seed, str(config.output_dir)) == (5, "from-file")
+        assert config.params["nodes"] == 128
+
+    def test_unreadable_file_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read config file"):
+            parse_config("ham-sweep", path=tmp_path / "missing.cfg")
 
 
 class TestHamSweepCommand:
@@ -324,6 +345,16 @@ class TestMainEntry:
             ["hjb-compare", "--t", "inf"],
             ["lq-onpolicy", "--eval_horizon", "inf"],
             ["vdp-control", "--total_t", "inf"],
+            # list keys take finite numbers only
+            ["ham-sweep", "--alphas", "1,inf"],
+            ["ham-sweep", "--p", "nan"],
+            ["ham-sweep", "--x", "inf"],
+            ["ham-sweep", "--config", "no-such-dir/run.cfg"],
+            # keys checked by the library value built for them
+            ["vdp-control", "--dt", "-0.5"],
+            ["vdp-control", "--dt", "0"],
+            ["lq-offpolicy", "--eval_horizon", "-1"],
+            ["hjb-compare", "--start_radius", "0"],
         ],
     )
     def test_out_of_range_value_exits_two(self, argv, tmp_path, capsys):
@@ -338,6 +369,50 @@ class TestMainEntry:
         assert main(["ham-sweep", "--out", str(out), *flags]) == 2
         assert capsys.readouterr().err == f"config error: flag {flags[0]} needs a value\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seed", "abc"], "seed must be an integer, got 'abc'"),
+            (["--seed", "2.5"], "seed must be an integer, got '2.5'"),
+            (["--seed=abc"], "seed must be an integer, got 'abc'"),
+            (["--seed"], "flag --seed needs a value"),
+            (["--out"], "flag --out needs a value"),
+            (["--config"], "flag --config needs a value"),
+            (["--seed", "--nodes", "64"], "flag --seed needs a value"),
+        ],
+    )
+    def test_malformed_global_setting_exits_two(self, flags, message, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # a bare --out would otherwise write to the default "out"
+        out = tmp_path / "run"
+        argv = ["ham-sweep", *flags] if "--out" in flags else ["ham-sweep", "--out", str(out), *flags]
+        assert main(argv) == 2  # returns: no SystemExit
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists() and not (tmp_path / "out").exists()
+
+    def test_key_equals_value_matches_key_space_value(self, tmp_path):
+        eq, sp = tmp_path / "eq", tmp_path / "sp"
+        assert main(["ham-sweep", f"--out={eq}", "--seed=3", "--nodes=64"]) == 0
+        assert main(["ham-sweep", "--out", str(sp), "--seed", "3", "--nodes", "64"]) == 0
+        for name in ("ham_sweep.csv", "summary.json"):
+            assert (eq / name).read_bytes() == (sp / name).read_bytes()
+        config = json.loads((eq / "manifest.json").read_text())["config"]
+        assert config == json.loads((sp / "manifest.json").read_text())["config"]
+        assert (config["seed"], config["nodes"]) == (3, 64)
+
+    def test_config_flag_takes_the_equals_form(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"seed = 2\nout = {tmp_path / 'run'}\n[ham-sweep]\nnodes = 64\n")
+        assert main(["ham-sweep", f"--config={path}"]) == 0
+        config = json.loads((tmp_path / "run" / "manifest.json").read_text())["config"]
+        assert (config["seed"], config["nodes"]) == (2, 64)
+
+    def test_help_shows_the_global_flags(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["--help"])
+        assert done.value.code == 0
+        usage = capsys.readouterr().out
+        assert all(flag in usage for flag in ("--config", "--seed", "--out"))
 
     def test_vdp_sweep_needs_planar_vectors(self, tmp_path, capsys):
         code = main(["ham-sweep", "--model", "vdp", "--out", str(tmp_path / "a")])
@@ -361,10 +436,29 @@ class TestMainEntry:
         assert result.returncode == 0
 
 
+# the keys whose rule a library value states: parse_config builds that value
+_LIBRARY_KEYS = (
+    {f.name for f in fields(LearnerConfig)}
+    | {f.name for f in fields(HopfLaxConfig)}
+    | set(inspect.signature(window_steps).parameters)
+) - {"seed", "formula"}
+
+
 class TestSchemas:
-    def test_every_key_has_a_validator_and_every_validator_a_key(self):
+    def test_every_key_rule_is_stated_once(self):
+        # by its _VALIDATORS entry or by the library value built for it, never both
         keys = {key for schema in SCHEMAS.values() for key in schema}
-        assert keys == set(_VALIDATORS)
+        assert not set(_VALIDATORS) & _LIBRARY_KEYS
+        assert keys == set(_VALIDATORS) | _LIBRARY_KEYS
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [(c, k) for c, schema in SCHEMAS.items() for k in sorted(schema) if k in _LIBRARY_KEYS],
+    )
+    def test_library_keys_checked_when_parsed(self, command, key):
+        # -1 breaks every library rule: each of these keys must be > 0 or >= 0
+        with pytest.raises(ConfigError, match=key):
+            parse_config(command, overrides={key: "-1"})
 
     @pytest.mark.parametrize("command", ["lq-onpolicy", "lq-offpolicy"])
     def test_learner_keys_are_the_problem_and_the_learner_config(self, command):

@@ -94,6 +94,13 @@ class TestHopfLaxConfig:
         with pytest.raises(ValueError, match=key):
             HopfLaxConfig(**{key: math.nan})
 
+    @pytest.mark.parametrize("key", ["ode_step", "start_radius"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, 0.0, -1.0])
+    def test_step_and_radius_must_be_finite_and_positive(self, key, value):
+        # an infinite ode_step ran the 4-step floor, an infinite radius made every start NaN
+        with pytest.raises(ValueError, match=f"{key} must be finite and > 0"):
+            HopfLaxConfig(**{key: value})
+
 
 class TestCharacteristics:
     def test_terminal_conditions_exact(self, lq_ctx):
@@ -538,8 +545,25 @@ class TestRecedingHorizon:
 
     @pytest.mark.parametrize("total_t", [math.inf, -math.inf, math.nan])
     def test_window_steps_rejects_non_finite_total(self, total_t):
-        with pytest.raises(ValueError, match="does not divide"):
+        with pytest.raises(ValueError, match="total_t must be finite and > 0"):
             window_steps(total_t, 2.5, 0.5)
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [((5.0, 2.5, 0.0), "dt"), ((5.0, 0.0, 0.5), "window_t"), ((0.0, 2.5, 0.5), "total_t"),
+         ((5.0, 2.5, -0.5), "dt"), ((5.0, -2.5, 0.5), "window_t"), ((5.0, math.nan, 0.5), "window_t"),
+         ((5.0, 2.5, math.inf), "dt")],
+    )
+    def test_window_steps_names_a_time_that_is_not_finite_and_positive(self, args, name):
+        # zeros died with ZeroDivisionError; a negative dt was squared and ran as |dt|
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
+            window_steps(*args)
+
+    def test_negative_dt_refused_before_any_solve(self, channel_ctx, monkeypatch):
+        monkeypatch.setattr(hopf_lax, "hopf_lax_value", lambda *a, **k: pytest.fail("a solve ran"))
+        cfg = HopfLaxConfig(ode_step=0.1, seed=0)
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            receding_horizon_control(channel_ctx, [0.0], 0.5, 0.25, cfg, dt=-0.5)
 
     @pytest.mark.slow
     def test_vdp_closed_loop_beats_uncontrolled(self):
