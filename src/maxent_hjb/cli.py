@@ -25,7 +25,6 @@ import numpy as np
 from . import __version__
 from .adaptive_dp import HiddenLqSystem, LearnerConfig, run_offpolicy, run_onpolicy
 from .benchmarks import (
-    FIXTURE_SPECS,
     analytic_linear_channel_hamiltonian,
     linear_channel_model,
     load_fixture,
@@ -38,11 +37,10 @@ from .benchmarks import (
 )
 from .dynamics import ControlBox, Trajectory, euler_rollout, write_json, write_table
 from .errors import ConfigError, DivergedTrajectoryError, MaxEntError
-from .godunov import Grid2D, compare_solutions, godunov_solve
+from .godunov import Grid2D, GridFunction, compare_solutions, godunov_solve
 from .hopf_lax import (
     HopfLaxConfig,
     receding_horizon_control,
-    surface_to_csv,
     value_surface,
     window_steps,
 )
@@ -129,13 +127,13 @@ def _check_alphas(raw: str):
     return "alphas must be distinct finite numbers > 0, comma-separated"
 
 
-# the rules of the keys that no library value built in _library_values checks
+# the rules of the keys that no library value built in _library_values checks, or
+# whose library message does not name the key (t, grid_n, domain); these run first
 _VALIDATORS = {
     "alphas": _check_alphas,
     "x": lambda v: _numbers(v) is not None or "x must be comma-separated finite numbers",
     "p": lambda v: _numbers(v) is not None or "p must be comma-separated finite numbers",
     "model": lambda v: v in _HAM_MODELS or "model must be one of " + ", ".join(_HAM_MODELS),
-    "alpha": lambda v: v > 0 or "alpha must be > 0",
     "t": lambda v: v > 0 or "t must be > 0",
     "grid_n": lambda v: v >= 8 or "grid_n must be >= 8",
     "domain": lambda v: v > 0 or "domain must be > 0",
@@ -145,8 +143,6 @@ _VALIDATORS = {
     "n_random": lambda v: v >= 0 or "n_random must be >= 0",
     "n_bands": lambda v: v >= 1 or "n_bands must be >= 1",
     "replan_every": lambda v: v >= 1 or "replan_every must be >= 1",
-    "fixture": lambda v: v in FIXTURE_SPECS or "fixture must be one of " + ", ".join(FIXTURE_SPECS),
-    "lam": lambda v: v >= 0 or "lam must be >= 0",
     "tol": lambda v: v > 0 or "tol must be > 0",
 }
 
@@ -156,7 +152,9 @@ class ExperimentConfig:
     command: str
     seed: int
     output_dir: Path
-    params: dict = field(default_factory=dict)
+    params: dict
+    # the library values built from the fields above (see _library_values)
+    library: dict = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -213,8 +211,9 @@ def parse_config(
 
     The file is flat ``key = value`` lines; ``[section]`` headers scope keys to
     one command, keys before any section apply globally (only ``seed`` and
-    ``out`` are global). Flags override file values. The library values built
-    from the keys (``_library_values``) check them here, before any work.
+    ``out`` are global). Flags override file values. The library values that a
+    run uses are built here, once (``_library_values``), and check their keys
+    before any work or output directory.
     """
     if command not in SCHEMAS:
         raise ConfigError(f"unknown command {command!r}; valid: {', '.join(COMMANDS)}")
@@ -257,31 +256,49 @@ def parse_config(
         raise ConfigError(f"seed must be an integer, got {seed!r}") from exc
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    config = ExperimentConfig(command=command, seed=seed, output_dir=Path(output_dir), params=params)
-    _library_values(config)
-    return config
-
-
-def _library_values(config: ExperimentConfig) -> dict:
-    """The library values that take the config's keys; their constructors state
-    those keys' rules, so a ValueError they raise is a ConfigError."""
-    p, values = config.params, {}
+    if str(output_dir) == "":
+        raise ConfigError("out must not be empty")
     try:
-        if "ode_step" in p:
-            keys = ("ode_step", "n_starts", "start_radius", "simplex_iters")
-            values["hopf_lax"] = HopfLaxConfig(seed=config.seed, **{key: p[key] for key in keys})
-        if "window_t" in p:
-            values["windows"] = window_steps(p["total_t"], p["window_t"], p["dt"])
-        if "delta_t" in p:
-            learner = {key: value for key, value in p.items() if key not in _LQ_PROBLEM}
-            values["learner"] = LearnerConfig(seed=config.seed, **learner)
+        library = _library_values(command, seed, params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(command, seed, Path(output_dir), params, library)
+
+
+def _library_values(command: str, seed: int, p: dict) -> dict:
+    """The library values a run of ``command`` uses, built from its keys. Their
+    constructors state those keys' rules and raise ValueError naming the key."""
+    if command == "ham-sweep":
+        model, cost, box = _HAM_MODELS[p["model"]]()
+        values = {"model": model, "cost": cost, "box": box}
+        for key in ("x", "p"):
+            values[key] = np.array(_numbers(p[key]))
+            if values[key].size != model.state_dim:
+                raise ValueError(
+                    f"{key} has length {values[key].size}; "
+                    f"the {p['model']} model needs {model.state_dim}"
+                )
+        return values
+    if command in ("hjb-compare", "vdp-control"):
+        keys = ("ode_step", "n_starts", "start_radius", "simplex_iters")
+        values = {"hopf_lax": HopfLaxConfig(seed=seed, **{key: p[key] for key in keys})}
+        if command == "hjb-compare":
+            model, horizon = vdp_plane_model(), p["t"]
+            d = p["domain"]
+            values["grid"] = Grid2D(-d, d, -d, d, p["grid_n"], p["grid_n"])
+        else:
+            # window_t first: its rule names the key, the cost's horizon rule does not
+            values["windows"] = window_steps(p["total_t"], p["window_t"], p["dt"])
+            model, horizon = vdp4_model(), p["window_t"]
+        cost = vdp_plane_cost(alpha=p["alpha"], horizon=horizon)
+        grid_q = build_grid(vdp_control_box(), p["nodes"])
+        values["context"] = HamiltonianContext(model=model, cost=cost, alpha=p["alpha"], grid=grid_q)
+        return values
+    values = {"problem": load_fixture(p["fixture"], lam=p["lam"], alpha=p["alpha"])}
+    if command != "lq-exact":
+        learner = {key: value for key, value in p.items() if key not in _LQ_PROBLEM}
+        values["learner"] = LearnerConfig(seed=seed, **learner)
     return values
-
-
-def _parse_vector(raw: str) -> np.ndarray:
-    return np.array(_numbers(raw))
 
 
 def run(config: ExperimentConfig) -> RunManifest:
@@ -331,17 +348,10 @@ def _artifact(produced: list, path: Path, write, *args):
 
 
 def _run_ham_sweep(config: ExperimentConfig, out: Path, produced: list):
-    p = config.params
+    p, lib = config.params, config.library
     alphas = sorted(_numbers(p["alphas"]), reverse=True)
-    x = _parse_vector(p["x"])
-    pvec = _parse_vector(p["p"])
-    model, cost, box = _HAM_MODELS[p["model"]]()
-    for key, vec in (("x", x), ("p", pvec)):
-        if vec.size != model.state_dim:
-            raise ConfigError(
-                f"{key} has length {vec.size}; the {p['model']} model needs {model.state_dim}"
-            )
-    grid = build_grid(box, p["nodes"])
+    model, cost, x, pvec = lib["model"], lib["cost"], lib["x"], lib["p"]
+    grid = build_grid(lib["box"], p["nodes"])
     sweep = laplace_gap(model, cost, x, pvec, alphas, grid)
     h0 = standard_hamiltonian(model, cost, x, pvec, grid)
     rows = [(a, h, ht, h0) for a, h, ht in sweep]
@@ -367,38 +377,29 @@ def _threads() -> int:
     return threads
 
 
-def _hopf_lax_setup(config: ExperimentConfig, model, cost):
-    """The quadrature context and the Hopf-Lax settings of both HJB commands."""
-    p = config.params
-    grid_q = build_grid(vdp_control_box(), p["nodes"])
-    ctx = HamiltonianContext(model=model, cost=cost, alpha=p["alpha"], grid=grid_q)
-    return ctx, _library_values(config)["hopf_lax"]
-
-
 def _run_hjb_compare(config: ExperimentConfig, out: Path, produced: list):
-    p = config.params
+    p, lib = config.params, config.library
     processes = _threads()
-    cost = vdp_plane_cost(alpha=p["alpha"], horizon=p["t"])
-    ctx, hl_config = _hopf_lax_setup(config, vdp_plane_model(), cost)
-    d = p["domain"]
-    grid = Grid2D(-d, d, -d, d, p["grid_n"], p["grid_n"])
-    godunov = godunov_solve(ctx, cost.terminal, grid, p["t"], cfl=p["cfl"])
-    surface = value_surface(
-        ctx, cost.terminal, grid.xs, grid.ys, p["t"], hl_config, n_random=p["n_random"],
-        n_bands=p["n_bands"], processes=processes, warm_iters=p["warm_iters"],
+    ctx, grid = lib["context"], lib["grid"]
+    godunov = godunov_solve(ctx, ctx.cost.terminal, grid, p["t"], cfl=p["cfl"])
+    values = value_surface(
+        ctx, ctx.cost.terminal, grid.xs, grid.ys, p["t"], lib["hopf_lax"],
+        n_random=p["n_random"], n_bands=p["n_bands"], processes=processes,
+        warm_iters=p["warm_iters"],
     )
-    report = compare_solutions(godunov, lambda pts: surface.ravel(), b_time=p["t"])
+    surface = GridFunction(values=values, grid=grid, time=p["t"])
+    report = compare_solutions(godunov, surface)
 
     _artifact(produced, out / "godunov.csv", godunov.to_csv)
-    _artifact(produced, out / "hopflax.csv", surface_to_csv, grid.xs, grid.ys, surface)
+    _artifact(produced, out / "hopflax.csv", surface.to_csv)
     _artifact(produced, out / "summary.json", write_json, report)
 
 
 def _run_vdp_control(config: ExperimentConfig, out: Path, produced: list):
-    p = config.params
-    windows, steps_per_window = _library_values(config)["windows"]
-    model = vdp4_model()
-    cost = vdp_plane_cost(alpha=p["alpha"], horizon=p["window_t"])
+    p, lib = config.params, config.library
+    windows, steps_per_window = lib["windows"]
+    ctx = lib["context"]
+    model, cost = ctx.model, ctx.cost
     # the uncontrolled baseline first, so that a diverging one fails before any solve
     steps, h = windows * steps_per_window, p["dt"] * p["dt"]  # the step of the controlled run
     states, _ = euler_rollout(model.eval, VDP4_X0, h, steps, lambda k, x: np.zeros(1))
@@ -410,9 +411,8 @@ def _run_vdp_control(config: ExperimentConfig, out: Path, produced: list):
     states, times = np.asarray(states), np.add.accumulate(np.r_[0.0, np.full(steps, h)])
     zero_controls = np.zeros((steps + 1, 1))
     uncontrolled_cost = float(np.trapezoid(cost.running.eval(states, zero_controls), times))
-    ctx, hl_config = _hopf_lax_setup(config, model, cost)
     traj = receding_horizon_control(
-        ctx, VDP4_X0, p["total_t"], p["window_t"], hl_config, dt=p["dt"],
+        ctx, VDP4_X0, p["total_t"], p["window_t"], lib["hopf_lax"], dt=p["dt"],
         replan_every=p["replan_every"],
     )
     controlled_cost = float(np.trapezoid(cost.running.eval(traj.states, traj.controls), traj.times))
@@ -431,8 +431,7 @@ def _run_vdp_control(config: ExperimentConfig, out: Path, produced: list):
 
 def _run_lq_exact(config: ExperimentConfig, out: Path, produced: list):
     p = config.params
-    prob = load_fixture(p["fixture"], lam=p["lam"], alpha=p["alpha"])
-    sol = kleinman_iterate(prob, tol=p["tol"])
+    sol = kleinman_iterate(config.library["problem"], tol=p["tol"])
     _artifact(produced, out / "P.txt", save_matrix, sol.p)
     _artifact(produced, out / "K.txt", save_matrix, sol.k)
     summary = {
@@ -446,11 +445,10 @@ def _run_lq_exact(config: ExperimentConfig, out: Path, produced: list):
 
 
 def _run_lq_learner(config: ExperimentConfig, out: Path, produced: list):
-    p = config.params
-    prob = load_fixture(p["fixture"], lam=p["lam"], alpha=p["alpha"])
+    p, lib = config.params, config.library
+    prob, learner_cfg = lib["problem"], lib["learner"]
     oracle = kleinman_iterate(prob)
     system = HiddenLqSystem(prob)
-    learner_cfg = _library_values(config)["learner"]
     runner = run_onpolicy if config.command == "lq-onpolicy" else run_offpolicy
     report = runner(system, np.zeros((prob.m, prob.n)), learner_cfg)
     rel_err = float(np.linalg.norm(report.p_final - oracle.p) / np.linalg.norm(oracle.p))

@@ -259,7 +259,8 @@ def godunov_solve(
     at the grid's central difference gradients and refreshed every 50 steps. H
     is costate-independent exactly when f is 0 at every cached (grid point,
     control node) pair; such an H is advanced exactly in steps of t_final / 8.
-    A vanishing speed estimate with any non-zero f raises DegenerateCflError.
+    A vanishing speed estimate with any non-zero f raises DegenerateCflError;
+    not reaching ``t_final`` within MAX_STEPS steps raises NoConvergenceError.
     """
     if not (0.0 < cfl <= 0.9):
         raise ValueError("cfl must be in (0, 0.9]")
@@ -291,27 +292,28 @@ def godunov_solve(
         w = w - step_dt * flux.reshape(grid.nx, grid.ny)
         t += step_dt
     else:
-        raise DegenerateCflError(f"time stepping did not reach T in {MAX_STEPS} steps")
+        raise NoConvergenceError(f"time stepping did not reach T in {MAX_STEPS} steps")
     return GridFunction(values=w, grid=grid, time=t_final)
 
 
-def compare_solutions(a: GridFunction, b_sampler, b_time: float | None = None) -> dict:
-    """Sample ``b_sampler`` at every node of ``a`` and report the differences.
+def compare_solutions(a: GridFunction, b: GridFunction) -> dict:
+    """The differences of two grid functions on one grid at one time.
 
     Returns max_abs_diff, sup_norm_b, and rel_pct = 100 max|a-b| / sup|b|, plus
     the same three restricted to the interior (10% margin cropped per side,
     where the extrapolating boundary condition cannot pollute the comparison).
+    Raises ValueError if the grids differ or the times differ by more than 1e-9.
     """
-    if b_time is not None and abs(a.time - b_time) > 1e-9:
+    if a.grid != b.grid:
+        raise ValueError("grid functions live on different grids")
+    if abs(a.time - b.time) > 1e-9:
         raise ValueError("time stamps differ by more than 1e-9")
-    pts = a.grid.points()
-    b_vals = np.asarray(b_sampler(pts), dtype=float).reshape(a.grid.nx, a.grid.ny)
-    diff = np.abs(a.values - b_vals)
-    sup_b = float(np.max(np.abs(b_vals)))
+    diff = np.abs(a.values - b.values)
+    sup_b = float(np.max(np.abs(b.values)))
     mx = int(math.ceil(0.1 * a.grid.nx))
     my = int(math.ceil(0.1 * a.grid.ny))
     interior = (slice(mx, a.grid.nx - mx), slice(my, a.grid.ny - my))
-    sup_b_int = float(np.max(np.abs(b_vals[interior])))
+    sup_b_int = float(np.max(np.abs(b.values[interior])))
     return {
         "max_abs_diff": float(diff.max()),
         "sup_norm_b": sup_b,

@@ -29,7 +29,6 @@ from .dynamics import (
     diverged_rows,
     euler_rollout,
     make_rng,
-    write_table,
 )
 from .errors import (
     AllCharacteristicsBlewUpError,
@@ -465,12 +464,6 @@ def _nm_with_points(ctx, q_spec, pts, starts, t, n_steps, formula, iters):
 
     vals, verts = _nelder_mead_batch(objective_rows, simplices, iters, owners)
     return vals.reshape(nx, n_start), verts.reshape(nx, n_start, n), survived and not transformed
-
-
-def surface_to_csv(path, xs, ys, values):
-    """Value-surface dump: ``x1, x2, W`` rows over the query box."""
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    write_table(path, "x1, x2, W", np.column_stack([gx.ravel(), gy.ravel(), values.ravel()]))
 
 
 def sample_feedback(

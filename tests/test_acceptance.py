@@ -52,7 +52,7 @@ from maxent_hjb.benchmarks import (
     vdp_plane_model,
     zero_running_cost,
 )
-from maxent_hjb.godunov import Grid2D
+from maxent_hjb.godunov import Grid2D, GridFunction
 from maxent_hjb.lq import svec, svec_size
 
 
@@ -165,7 +165,7 @@ def test_criterion_04_hopf_lax_vs_godunov_benchmark():
         ctx, cost.terminal, grid.xs, grid.ys, 0.1, hl_config,
         n_random=1, n_bands=2, processes=threads, warm_iters=20,
     )
-    report = compare_solutions(godunov, lambda pts: surface.ravel(), b_time=0.1)
+    report = compare_solutions(godunov, GridFunction(surface, grid, 0.1))
     ok = report["rel_pct"] <= 5.0
     _report(
         4,

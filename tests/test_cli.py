@@ -294,6 +294,25 @@ TINY_RUNS = {
 }
 
 
+class TestLibraryValues:
+    @pytest.mark.parametrize("command", sorted(TINY_RUNS))
+    def test_a_run_reads_the_values_built_when_parsed(self, command, tmp_path, monkeypatch):
+        from maxent_hjb import cli
+
+        config = parse_config(command, overrides={"out": str(tmp_path), **TINY_RUNS[command]})
+        for name in ("_library_values", "load_fixture", "HamiltonianContext", "Grid2D",
+                     "HopfLaxConfig", "LearnerConfig", "window_steps", "vdp_plane_cost"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: pytest.fail(name))
+        run(config)
+
+    def test_configs_compare_by_their_settings(self):
+        # the built values (here the vdp x and p vectors) stay out of == and repr
+        flags = {"model": "vdp", "x": "0.5,-0.2", "p": "1,1"}
+        config = parse_config("ham-sweep", overrides=flags)
+        assert config == parse_config("ham-sweep", overrides=flags)
+        assert "library" not in repr(config)
+
+
 class TestStrictJson:
     @pytest.mark.parametrize("command", sorted(TINY_RUNS))
     def test_every_json_artifact_is_strict(self, command, tmp_path):
@@ -355,13 +374,26 @@ class TestMainEntry:
             ["vdp-control", "--dt", "0"],
             ["lq-offpolicy", "--eval_horizon", "-1"],
             ["hjb-compare", "--start_radius", "0"],
+            # the length rule of the ham-sweep vectors
+            ["ham-sweep", "--model", "vdp", "--x", "0.5", "--p", "1,1"],
         ],
     )
     def test_out_of_range_value_exits_two(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
+
+    @pytest.mark.parametrize("form", ["--out=", "--out ''", "out = in the file"])
+    def test_empty_out_exits_two_and_writes_nothing(self, form, tmp_path, capsys, monkeypatch):
+        # an empty out would be the current directory
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("out =\n")
+        flags = {"--out=": ["--out="], "--out ''": ["--out", ""],
+                 "out = in the file": ["--config", "run.cfg"]}[form]
+        assert main(["lq-exact", *flags]) == 2
+        assert capsys.readouterr().err == "config error: out must not be empty\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
     @pytest.mark.parametrize("flags", [["--nodes"], ["--nodes", "--p", "2"], ["--model"]])
     def test_flag_without_value_exits_two(self, flags, tmp_path, capsys):
@@ -436,11 +468,14 @@ class TestMainEntry:
         assert result.returncode == 0
 
 
-# the keys whose rule a library value states: parse_config builds that value
+# the keys whose rule a library value states: parse_config builds that value.
+# load_fixture's LqProblem checks fixture, lam and alpha; the HJB commands'
+# CostModel and HamiltonianContext check alpha.
 _LIBRARY_KEYS = (
     {f.name for f in fields(LearnerConfig)}
     | {f.name for f in fields(HopfLaxConfig)}
     | set(inspect.signature(window_steps).parameters)
+    | {"fixture", "lam", "alpha"}
 ) - {"seed", "formula"}
 
 
@@ -450,6 +485,7 @@ class TestSchemas:
         keys = {key for schema in SCHEMAS.values() for key in schema}
         assert not set(_VALIDATORS) & _LIBRARY_KEYS
         assert keys == set(_VALIDATORS) | _LIBRARY_KEYS
+        assert len(_VALIDATORS) == 14
 
     @pytest.mark.parametrize(
         "command, key",

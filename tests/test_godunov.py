@@ -390,28 +390,45 @@ class TestGodunovSolve:
         with pytest.raises(DegenerateCflError):
             godunov_solve(ctx, Const(), g, 0.1)
 
+    def test_exhausted_step_budget_raises_no_convergence(self, vdp_ctx, monkeypatch):
+        # a 16x16 grid needs more than 3 CFL steps to reach t = 0.1
+        monkeypatch.setattr(godunov_module, "MAX_STEPS", 3)
+        g = Grid2D(-1.0, 1.0, -1.0, 1.0, 16, 16)
+        with pytest.raises(NoConvergenceError, match="did not reach T in 3 steps"):
+            godunov_solve(vdp_ctx, vdp_ctx.cost.terminal, g, 0.1)
+
 
 class TestCompareSolutions:
+    GRID = Grid2D(-1.0, 1.0, -1.0, 1.0, 10, 10)
+
     def test_identical_fields(self):
-        g = Grid2D(-1.0, 1.0, -1.0, 1.0, 10, 10)
-        rng = np.random.default_rng(1)
-        values = rng.normal(size=(10, 10))
-        f = GridFunction(values=values, grid=g, time=0.1)
-        report = compare_solutions(f, lambda pts: values.ravel(), b_time=0.1)
+        values = np.random.default_rng(1).normal(size=(10, 10))
+        f = GridFunction(values=values, grid=self.GRID, time=0.1)
+        report = compare_solutions(f, GridFunction(values=values, grid=self.GRID, time=0.1))
         assert report["max_abs_diff"] == 0.0
         assert report["rel_pct"] == 0.0
         assert report["sup_norm_b"] == pytest.approx(float(np.max(np.abs(values))))
 
     def test_constant_shift(self):
-        g = Grid2D(-1.0, 1.0, -1.0, 1.0, 10, 10)
-        values = np.ones((10, 10))
-        f = GridFunction(values=values, grid=g, time=0.0)
-        report = compare_solutions(f, lambda pts: np.full(len(pts), 1.0 - 0.25))
+        f = GridFunction(values=np.ones((10, 10)), grid=self.GRID, time=0.0)
+        shifted = GridFunction(values=np.full((10, 10), 1.0 - 0.25), grid=self.GRID, time=0.0)
+        report = compare_solutions(f, shifted)
         assert report["max_abs_diff"] == pytest.approx(0.25)
         assert report["max_abs_diff_interior"] == pytest.approx(0.25)
+        assert report["rel_pct"] == pytest.approx(100.0 * 0.25 / 0.75)
 
     def test_time_stamp_mismatch(self):
-        g = Grid2D(-1.0, 1.0, -1.0, 1.0, 10, 10)
-        f = GridFunction(values=np.zeros((10, 10)), grid=g, time=0.1)
-        with pytest.raises(ValueError):
-            compare_solutions(f, lambda pts: np.zeros(len(pts)), b_time=0.2)
+        f = GridFunction(values=np.zeros((10, 10)), grid=self.GRID, time=0.1)
+        later = GridFunction(values=np.zeros((10, 10)), grid=self.GRID, time=0.2)
+        with pytest.raises(ValueError, match="time stamps"):
+            compare_solutions(f, later)
+        # within 1e-9 the times agree
+        near = GridFunction(values=np.zeros((10, 10)), grid=self.GRID, time=0.1 + 1e-10)
+        assert compare_solutions(f, near)["max_abs_diff"] == 0.0
+
+    def test_grid_mismatch(self):
+        f = GridFunction(values=np.zeros((10, 10)), grid=self.GRID, time=0.1)
+        wider = GridFunction(values=np.zeros((10, 10)), grid=Grid2D(-2.0, 2.0, -1.0, 1.0, 10, 10),
+                             time=0.1)
+        with pytest.raises(ValueError, match="different grids"):
+            compare_solutions(f, wider)

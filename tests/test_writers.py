@@ -10,7 +10,6 @@ from maxent_hjb import Trajectory
 from maxent_hjb.dynamics import write_json, write_table
 from maxent_hjb.errors import MaxEntError
 from maxent_hjb.godunov import Grid2D, GridFunction
-from maxent_hjb.hopf_lax import surface_to_csv
 from maxent_hjb.lq import save_matrix
 
 AWKWARD = [
@@ -55,16 +54,6 @@ def test_grid_function_to_csv(tmp_path):
     GridFunction(values=values, grid=grid, time=0.0).to_csv(path)
     rows = [(x, y, w) for (x, y), w in zip(grid.points(), values.ravel())]
     assert path.read_bytes() == legacy_table("x, y, W", rows)
-
-
-def test_surface_to_csv(tmp_path):
-    xs = np.linspace(-1.0, 1.0, 37)
-    ys = np.array(AWKWARD * 2)
-    values = awkward_table(len(xs), len(ys))
-    path = tmp_path / "surface.csv"
-    surface_to_csv(path, xs, ys, values)
-    rows = [(x1, x2, values[i, j]) for i, x1 in enumerate(xs) for j, x2 in enumerate(ys)]
-    assert path.read_bytes() == legacy_table("x1, x2, W", rows)
 
 
 def test_cli_write_csv(tmp_path):
