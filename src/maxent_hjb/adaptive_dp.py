@@ -31,13 +31,14 @@ from .errors import (
     DimensionMismatchError, DivergedTrajectoryError, RankDeficientError, RankStallError
 )
 from .lq import (
-    LqProblem, numerical_rank, quad_regressor, reduce_kron_columns, spectral_abscissa, svec_size,
-    svec_to_mat,
+    LqProblem, _require_gain, numerical_rank, quad_regressor, reduce_kron_columns,
+    spectral_abscissa, svec_size, svec_to_mat,
 )
 
 REGRESSOR_RANK_TOL = 1e-12  # relative singular-value cut for the regressor rank
 WINDOW_BUDGET_FACTOR = 10  # windows allowed per unknown before a rank stall
 ROLLOUT_BLOCK = 256  # noise-free Euler steps per increment-table product
+SETTLE_BAND = 1.0  # the settling time is read against max_i |x_i| <= SETTLE_BAND
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,6 @@ class LearnerConfig:
     seed: int = 0
     extra_windows: int = 0
     eval_horizon: float = 20.0
-    settle_band: float = 1.0
 
     def __post_init__(self):
         # each rule holds as written, so a NaN fails every one
@@ -61,7 +61,6 @@ class LearnerConfig:
             (self.eps_stop > 0, "eps_stop > 0"),
             (self.max_iters >= 1, "max_iters >= 1"),
             (self.extra_windows >= 0, "extra_windows >= 0"),
-            (self.settle_band > 0, "settle_band > 0"),
             (0 <= self.eval_horizon < math.inf, "eval_horizon finite and >= 0"),
         ):
             if not holds:
@@ -413,14 +412,14 @@ def _start_stream(system, k0, config, explore):
 
     The noise is ``explore`` when given, else one N(0, alpha R^-1) draw per call.
     """
+    k_gain = _require_gain(k0, system.m, system.n).copy()
     chol_sigma = np.linalg.cholesky(system.alpha * np.linalg.inv(system.r))
     rng = make_rng(config.seed)
 
     def gaussian(t):
         return chol_sigma @ rng.standard_normal(system.m)
 
-    stream = _Stream(system.n)
-    return np.asarray(k0, dtype=float).copy(), gaussian if explore is None else explore, stream
+    return k_gain, gaussian if explore is None else explore, _Stream(system.n)
 
 
 def _collect_until_rank(system, stream, k_gain, noise, config, collect, stack):
@@ -491,7 +490,7 @@ def _policy_iteration(system, stream, k_gain, config, rows_for_gain, solve):
         samples_per_iter=samples_per_iter,
         total_samples=total_samples,
         learning_time=total_samples * config.delta_t,
-        settling_time=settling_time(traj, config.settle_band),
+        settling_time=settling_time(traj, SETTLE_BAND),
         total_running_cost=_running_cost_increment(system, traj),
         converged=converged,
         rank_counts=rank_counts,

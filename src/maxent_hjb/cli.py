@@ -53,6 +53,7 @@ from .soft_hamiltonian import (
 )
 
 COMMANDS = ("ham-sweep", "hjb-compare", "vdp-control", "lq-onpolicy", "lq-offpolicy", "lq-exact")
+HJB_BOX = (-2.0, 2.0, -2.0, 2.0)  # hjb-compare's grid: the Van der Pol box [-2, 2]^2
 
 # the LQ problem's keys, shared by the Riccati solve and the learners
 _LQ_PROBLEM = {"fixture": (str, "n3m2"), "lam": (float, 1e-10), "alpha": (float, 1.0)}
@@ -70,30 +71,25 @@ SCHEMAS: dict = {
         "alpha": (float, 1.0),
         "t": (float, 0.1),
         "grid_n": (int, 161),
-        "domain": (float, 2.0),
         "nodes": (int, 32),
-        "cfl": (float, 0.5),
         "ode_step": (float, 0.025),
         "n_starts": (int, 16),
         "start_radius": (float, 5.0),
         "simplex_iters": (int, 40),
         "warm_iters": (int, 20),
-        "n_random": (int, 1),
-        "n_bands": (int, 2),
     },
     "vdp-control": {
         "alpha": (float, 1.0),
         "total_t": (float, 5.0),
         "window_t": (float, 2.5),
         "dt": (float, 0.5),
-        "replan_every": (int, 1),
         "nodes": (int, 32),
         "ode_step": (float, 0.1),
         "n_starts": (int, 5),
         "start_radius": (float, 1.5),
         "simplex_iters": (int, 60),
     },
-    "lq-exact": {**_LQ_PROBLEM, "tol": (float, 1e-12)},
+    "lq-exact": dict(_LQ_PROBLEM),
     # the learners' keys are the problem's plus LearnerConfig's fields bar the seed
     "lq-onpolicy": {
         **_LQ_PROBLEM,
@@ -128,7 +124,7 @@ def _check_alphas(raw: str):
 
 
 # the rules of the keys that no library value built in _library_values checks, or
-# whose library message does not name the key (t, grid_n, domain); these run first
+# whose library message does not name the key (t, grid_n); these run first
 _VALIDATORS = {
     "alphas": _check_alphas,
     "x": lambda v: _numbers(v) is not None or "x must be comma-separated finite numbers",
@@ -136,14 +132,8 @@ _VALIDATORS = {
     "model": lambda v: v in _HAM_MODELS or "model must be one of " + ", ".join(_HAM_MODELS),
     "t": lambda v: v > 0 or "t must be > 0",
     "grid_n": lambda v: v >= 8 or "grid_n must be >= 8",
-    "domain": lambda v: v > 0 or "domain must be > 0",
     "nodes": lambda v: v >= 4 or "nodes must be >= 4",
-    "cfl": lambda v: 0 < v <= 0.9 or "cfl must be in (0, 0.9]",
     "warm_iters": lambda v: v >= 1 or "warm_iters must be >= 1",
-    "n_random": lambda v: v >= 0 or "n_random must be >= 0",
-    "n_bands": lambda v: v >= 1 or "n_bands must be >= 1",
-    "replan_every": lambda v: v >= 1 or "replan_every must be >= 1",
-    "tol": lambda v: v > 0 or "tol must be > 0",
 }
 
 
@@ -211,9 +201,10 @@ def parse_config(
 
     The file is flat ``key = value`` lines; ``[section]`` headers scope keys to
     one command, keys before any section apply globally (only ``seed`` and
-    ``out`` are global). Flags override file values. The library values that a
-    run uses are built here, once (``_library_values``), and check their keys
-    before any work or output directory.
+    ``out`` are global); a section that names no command is an error. Flags
+    override file values. The library values that a run uses are built here,
+    once (``_library_values``), and check their keys before any work or output
+    directory.
     """
     if command not in SCHEMAS:
         raise ConfigError(f"unknown command {command!r}; valid: {', '.join(COMMANDS)}")
@@ -229,6 +220,10 @@ def parse_config(
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
             section = stripped[1:-1].strip()
+            if section not in SCHEMAS:
+                raise ConfigError(
+                    f"{path}:{lineno}: unknown section [{section}]; valid: {', '.join(COMMANDS)}"
+                )
             continue
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
@@ -265,6 +260,17 @@ def parse_config(
     return ExperimentConfig(command, seed, Path(output_dir), params, library)
 
 
+def _threads() -> int:
+    raw = os.environ.get("MAXENT_HJB_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"MAXENT_HJB_THREADS must be an integer >= 1, got {raw!r}")
+    return threads
+
+
 def _library_values(command: str, seed: int, p: dict) -> dict:
     """The library values a run of ``command`` uses, built from its keys. Their
     constructors state those keys' rules and raise ValueError naming the key."""
@@ -284,8 +290,8 @@ def _library_values(command: str, seed: int, p: dict) -> dict:
         values = {"hopf_lax": HopfLaxConfig(seed=seed, **{key: p[key] for key in keys})}
         if command == "hjb-compare":
             model, horizon = vdp_plane_model(), p["t"]
-            d = p["domain"]
-            values["grid"] = Grid2D(-d, d, -d, d, p["grid_n"], p["grid_n"])
+            values["grid"] = Grid2D(*HJB_BOX, p["grid_n"], p["grid_n"])
+            values["processes"] = _threads()
         else:
             # window_t first: its rule names the key, the cost's horizon rule does not
             values["windows"] = window_steps(p["total_t"], p["window_t"], p["dt"])
@@ -320,7 +326,7 @@ def run(config: ExperimentConfig) -> RunManifest:
     except Exception as exc:
         for path in produced:
             path.unlink(missing_ok=True)
-        if isinstance(exc, MaxEntError):  # keep the subclass: main maps ConfigError to 2
+        if isinstance(exc, MaxEntError):  # keep the subclass: callers catch the typed error
             exc.args = (f"{config.command} failed: {exc}",)
         raise
     duration = time.time() - started
@@ -366,26 +372,13 @@ def _run_ham_sweep(config: ExperimentConfig, out: Path, produced: list):
     _artifact(produced, out / "summary.json", write_json, summary)
 
 
-def _threads() -> int:
-    raw = os.environ.get("MAXENT_HJB_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ConfigError(f"MAXENT_HJB_THREADS must be an integer >= 1, got {raw!r}")
-    return threads
-
-
 def _run_hjb_compare(config: ExperimentConfig, out: Path, produced: list):
     p, lib = config.params, config.library
-    processes = _threads()
     ctx, grid = lib["context"], lib["grid"]
-    godunov = godunov_solve(ctx, ctx.cost.terminal, grid, p["t"], cfl=p["cfl"])
+    godunov = godunov_solve(ctx, ctx.cost.terminal, grid, p["t"])
     values = value_surface(
         ctx, ctx.cost.terminal, grid.xs, grid.ys, p["t"], lib["hopf_lax"],
-        n_random=p["n_random"], n_bands=p["n_bands"], processes=processes,
-        warm_iters=p["warm_iters"],
+        n_random=1, n_bands=2, processes=lib["processes"], warm_iters=p["warm_iters"],
     )
     surface = GridFunction(values=values, grid=grid, time=p["t"])
     report = compare_solutions(godunov, surface)
@@ -412,8 +405,7 @@ def _run_vdp_control(config: ExperimentConfig, out: Path, produced: list):
     zero_controls = np.zeros((steps + 1, 1))
     uncontrolled_cost = float(np.trapezoid(cost.running.eval(states, zero_controls), times))
     traj = receding_horizon_control(
-        ctx, VDP4_X0, p["total_t"], p["window_t"], lib["hopf_lax"], dt=p["dt"],
-        replan_every=p["replan_every"],
+        ctx, VDP4_X0, p["total_t"], p["window_t"], lib["hopf_lax"], dt=p["dt"]
     )
     controlled_cost = float(np.trapezoid(cost.running.eval(traj.states, traj.controls), traj.times))
 
@@ -431,7 +423,7 @@ def _run_vdp_control(config: ExperimentConfig, out: Path, produced: list):
 
 def _run_lq_exact(config: ExperimentConfig, out: Path, produced: list):
     p = config.params
-    sol = kleinman_iterate(config.library["problem"], tol=p["tol"])
+    sol = kleinman_iterate(config.library["problem"])
     _artifact(produced, out / "P.txt", save_matrix, sol.p)
     _artifact(produced, out / "K.txt", save_matrix, sol.k)
     summary = {

@@ -30,6 +30,7 @@ from .errors import (
 
 RANK_TOL = 1e-8
 KLEINMAN_MAX_ITERS = 500
+KLEINMAN_TOL = 1e-12  # stop once successive P iterates differ by less (Frobenius)
 
 
 # ---------------------------------------------------------------------------
@@ -210,20 +211,25 @@ def are_residual(prob: LqProblem, p: np.ndarray) -> float:
     return float(np.linalg.norm(res))
 
 
+def _require_gain(k0, m: int, n: int) -> np.ndarray:
+    """``k0`` as a float array, checked to have the gain's shape (m, n)."""
+    k = np.asarray(k0, dtype=float)
+    if k.shape != (m, n):
+        raise DimensionMismatchError(f"K0 has shape {k.shape}; expected (m, n) = ({m}, {n})")
+    return k
+
+
 def kleinman_iterate(
     prob: LqProblem,
     k0: np.ndarray | None = None,
-    tol: float = 1e-12,
     history: list | None = None,
 ) -> RiccatiSolution:
     """Policy iteration for the discounted ARE from a stabilizing initial gain.
 
     ``history``, when given, receives every (P_k, K_{k+1}) pair in order.
     """
-    if not tol > 0.0:  # also rejects NaN
-        raise ValueError("tol must be > 0")
     n, m = prob.n, prob.m
-    k = np.zeros((m, n)) if k0 is None else np.asarray(k0, dtype=float)
+    k = np.zeros((m, n)) if k0 is None else _require_gain(k0, m, n)
     shifted_abscissa = spectral_abscissa(prob.a - 0.5 * prob.lam * np.eye(n) - prob.b @ k)
     if shifted_abscissa >= 0:
         raise NotHurwitzError("initial gain K0 is not stabilizing")
@@ -238,7 +244,7 @@ def kleinman_iterate(
         if p_prev is not None:
             delta = float(np.linalg.norm(p - p_prev))
             trace.append(delta)
-            if delta < tol:
+            if delta < KLEINMAN_TOL:
                 return RiccatiSolution(
                     p=p, k=k, residual=are_residual(prob, p), iterations=it
                 )

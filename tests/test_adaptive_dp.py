@@ -293,8 +293,7 @@ class TestLearnerConfig:
         "key, value",
         [("delta_t", 0.0), ("delta_t", math.nan), ("delta_t", math.inf), ("n_sub", 1),
          ("eps_stop", 0.0), ("eps_stop", math.nan), ("max_iters", 0), ("extra_windows", -3),
-         ("settle_band", 0.0), ("settle_band", math.nan), ("eval_horizon", -1.0),
-         ("eval_horizon", math.nan), ("eval_horizon", math.inf)],
+         ("eval_horizon", -1.0), ("eval_horizon", math.nan), ("eval_horizon", math.inf)],
     )
     def test_bad_value_rejected_at_construction(self, key, value):
         # the same rules as the CLI's validators, with NaN failing each one
@@ -303,6 +302,11 @@ class TestLearnerConfig:
 
 
 class TestRunOnPolicy:
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 2)])
+    def test_initial_gain_must_be_m_by_n(self, fixture_system, shape):
+        with pytest.raises(DimensionMismatchError, match=r"expected \(m, n\) = \(2, 3\)"):
+            run_onpolicy(fixture_system, np.zeros(shape), default_config(seed=0))
+
     def test_fixture_recovery(self, fixture_system, fixture_oracle):
         k0 = np.zeros((2, 3))
         rep = run_onpolicy(fixture_system, k0, default_config(seed=7))

@@ -18,7 +18,7 @@ from maxent_hjb import (
 )
 from maxent_hjb.benchmarks import load_fixture
 from maxent_hjb.cli import _VALIDATORS, SCHEMAS, RunManifest, main, parse_config, run
-from maxent_hjb.errors import ConfigError, MaxEntError
+from maxent_hjb.errors import ConfigError
 from maxent_hjb.hopf_lax import window_steps
 
 
@@ -211,10 +211,10 @@ class TestHjbCompareCommand:
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
     @pytest.mark.parametrize("threads", ["abc", "-4", "0"])
-    def test_invalid_thread_count_rejected(self, tmp_path, monkeypatch, threads):
+    def test_invalid_thread_count_rejected(self, monkeypatch, threads):
         monkeypatch.setenv("MAXENT_HJB_THREADS", threads)
-        with pytest.raises(MaxEntError, match="MAXENT_HJB_THREADS"):
-            run(parse_config("hjb-compare", overrides={"out": str(tmp_path)}))
+        with pytest.raises(ConfigError, match="MAXENT_HJB_THREADS"):
+            parse_config("hjb-compare")
 
 
 class TestVdpControlCommand:
@@ -335,17 +335,52 @@ class TestMainEntry:
         assert "config error" in capsys.readouterr().err
 
     def test_config_error_from_a_runner_exits_two(self, tmp_path, capsys, monkeypatch):
+        # the sweep's process count is read with the keys, before the output directory
         monkeypatch.setenv("MAXENT_HJB_THREADS", "abc")
-        code = main(["hjb-compare", "--out", str(tmp_path)])
-        assert code == 2
-        assert capsys.readouterr().err.startswith("config error: hjb-compare failed:")
+        out = tmp_path / "out"
+        assert main(["hjb-compare", "--out", str(out)]) == 2
+        message = "MAXENT_HJB_THREADS must be an integer >= 1, got 'abc'"
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_unknown_section_exits_two(self, tmp_path, capsys):
+        # a mistyped section would otherwise drop its keys and run at the defaults
+        out = tmp_path / "out"
+        path = tmp_path / "run.cfg"
+        path.write_text(f"out = {out}\n[hjb_compare]\ngrid_n = 13\n")
+        assert main(["hjb-compare", "--config", str(path)]) == 2
+        valid = "ham-sweep, hjb-compare, vdp-control, lq-onpolicy, lq-offpolicy, lq-exact"
+        message = f"{path}:2: unknown section [hjb_compare]; valid: {valid}"
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hjb-compare", "--domain", "-1"],
+            ["hjb-compare", "--cfl", "0.5"],
+            ["hjb-compare", "--n_random", "-1"],
+            ["hjb-compare", "--n_bands", "2"],
+            ["vdp-control", "--replan_every", "0"],
+            ["lq-exact", "--tol", "1e-9"],
+            ["lq-onpolicy", "--settle_band", "2"],
+            ["lq-offpolicy", "--settle_band", "2"],
+        ],
+    )
+    def test_fixed_setting_is_an_unknown_key(self, argv, tmp_path, capsys):
+        # the box, the CFL number, the sweep's starts and bands, one replan per step,
+        # the Riccati tolerance and the settling band are constants of the studies
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert f"unknown key {argv[1][2:]!r} for {argv[0]} (flag)" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["hjb-compare", "--ode_step", "0"],
-            ["hjb-compare", "--domain", "-1"],
-            ["hjb-compare", "--n_random", "-1"],
+            ["hjb-compare", "--grid_n", "7"],
+            ["hjb-compare", "--warm_iters", "0"],
             ["hjb-compare", "--simplex_iters", "-3"],
             ["lq-onpolicy", "--n_sub", "1"],
             ["lq-onpolicy", "--lam", "-1"],
@@ -353,13 +388,14 @@ class TestMainEntry:
             ["lq-offpolicy", "--max_iters", "0"],
             ["vdp-control", "--window_t", "0"],
             ["vdp-control", "--window_t", "3", "--total_t", "10"],
-            ["vdp-control", "--replan_every", "0"],
+            ["ham-sweep", "--nodes", "3"],
             ["ham-sweep", "--alphas", "1,-1"],
             ["ham-sweep", "--alphas", "1,x"],
             ["lq-exact", "--fixture", "foo"],
             ["lq-onpolicy", "--seed", "-1"],
             ["vdp-control", "--total_t", "2.5", "--window_t", "2.5", "--dt", "0.7"],
             ["ham-sweep", "--model", "lorenz"],
+            ["hjb-compare", "--t", "0"],
             # no float key takes a non-finite value
             ["hjb-compare", "--t", "inf"],
             ["lq-onpolicy", "--eval_horizon", "inf"],
@@ -485,7 +521,21 @@ class TestSchemas:
         keys = {key for schema in SCHEMAS.values() for key in schema}
         assert not set(_VALIDATORS) & _LIBRARY_KEYS
         assert keys == set(_VALIDATORS) | _LIBRARY_KEYS
-        assert len(_VALIDATORS) == 14
+        assert len(_VALIDATORS) == 8
+
+    def test_each_command_has_its_keys(self):
+        hopf_lax = {"alpha", "nodes", "ode_step", "n_starts", "start_radius", "simplex_iters"}
+        learner = {"fixture", "lam", "alpha", "delta_t", "n_sub", "eps_stop", "max_iters",
+                   "extra_windows", "eval_horizon"}
+        assert {command: set(schema) for command, schema in SCHEMAS.items()} == {
+            "ham-sweep": {"alphas", "x", "p", "model", "nodes"},
+            "hjb-compare": hopf_lax | {"t", "grid_n", "warm_iters"},
+            "vdp-control": hopf_lax | {"total_t", "window_t", "dt"},
+            "lq-exact": {"fixture", "lam", "alpha"},
+            "lq-onpolicy": learner,
+            "lq-offpolicy": learner,
+        }
+        assert len(set().union(*SCHEMAS.values())) == 24
 
     @pytest.mark.parametrize(
         "command, key",

@@ -168,11 +168,11 @@ class TestKleinman:
         with pytest.raises(NotHurwitzError):
             kleinman_iterate(prob, k0=np.array([[0.0]]))
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
-    def test_tolerance_must_be_positive(self, tol):
-        prob = LqProblem(a=[[0.0]], b=[[1.0]], q=[[1.0]], r=[[1.0]], lam=0.0, alpha=1.0)
-        with pytest.raises(ValueError, match="tol"):
-            kleinman_iterate(prob, k0=np.array([[1.0]]), tol=tol)
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 2)])
+    def test_initial_gain_must_be_m_by_n(self, shape):
+        prob = load_fixture("n3m2")
+        with pytest.raises(DimensionMismatchError, match=r"expected \(m, n\) = \(2, 3\)"):
+            kleinman_iterate(prob, k0=np.zeros(shape))
 
 
 class TestProblemChecks:
