@@ -20,9 +20,8 @@ from .dynamics import (
     CostModel,
     DynamicsModel,
     FeatureAffine,
-    Generic,
-    GenericRunning,
     L1Terminal,
+    Linear,
     SeparableRunning,
 )
 from .lq import LqProblem, load_matrix, make_stable_system, save_matrix
@@ -90,16 +89,12 @@ VDP4_X0 = np.array([0.05, 0.25, 0.0, 0.02])
 
 def linear_channel_model() -> DynamicsModel:
     """1-D integrator dx/dt = u: the workhorse for analytic Hamiltonian checks."""
-    return DynamicsModel(
-        state_dim=1,
-        control_dim=1,
-        family=Generic(lambda x, u: u[..., :1] + 0.0 * x[..., :1]),
-    )
+    return DynamicsModel(state_dim=1, control_dim=1, family=Linear([[0.0]], [[1.0]]))
 
 
 def zero_running_cost(alpha: float = 1.0, horizon: float = 1.0) -> CostModel:
     return CostModel(
-        running=GenericRunning(lambda x, u: np.zeros(np.broadcast_shapes(x[..., 0].shape, u[..., 0].shape))),
+        running=SeparableRunning(lambda x: np.zeros(x.shape[:-1]), lambda u: np.zeros(u.shape[:-1])),
         terminal=None,
         alpha=alpha,
         lam=0.0,

@@ -29,6 +29,12 @@ MAX_COST_HORIZON = 1e4  # cap on the truncation horizon of an infinite-horizon c
 _TABLE_BLOCK_ROWS = 1024
 
 
+def require_finite_positive(name, value):
+    """The one rule for a time, step or tolerance: finite and > 0 (NaN fails)."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
 def diverged(x) -> bool:
     """A 1-D state is non-finite or beyond DIVERGENCE_NORM (NaN and inf fail ``<=``)."""
     return not math.sqrt(x @ x) <= DIVERGENCE_NORM
@@ -159,28 +165,19 @@ def ControlAffine(drift, input_map) -> FeatureAffine:
 
 
 @dataclass(frozen=True)
-class Generic:
-    """dx/dt = f(x, u) for an arbitrary broadcastable callback."""
-
-    field: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
 class DynamicsModel:
-    """A controlled vector field with a structural family tag."""
+    """A controlled vector field f = a(x) + b(x) phi(u) of the feature-affine family."""
 
     state_dim: int
     control_dim: int
-    family: FeatureAffine | Generic
+    family: FeatureAffine
 
     def eval(self, x, u) -> np.ndarray:
         x = _as_vector(x, self.state_dim, "x")
         u = _as_vector(u, self.control_dim, "u")
         fam = self.family
-        if isinstance(fam, FeatureAffine):
-            bphi = np.einsum("...ik,...k->...i", fam.input_map(x), fam.features(u))
-            return fam.drift(x) + bphi
-        return np.asarray(fam.field(x, u), dtype=float)
+        bphi = np.einsum("...ik,...k->...i", fam.input_map(x), fam.features(u))
+        return fam.drift(x) + bphi
 
 
 @dataclass(frozen=True)
@@ -254,15 +251,12 @@ class L1Terminal:
         return np.sum(np.abs(np.asarray(x, dtype=float)), axis=-1)
 
 
-@dataclass(frozen=True)
-class GenericTerminal:
-    """q(x) from a callback; a search box enables the approximate transform."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    search_box: "ControlBox | None" = None
-
-    def eval(self, x):
-        return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
+def check_terminal(q_spec, transform):
+    """The one terminal-family rule, checked before any kernel call: evaluating q (min
+    form, Godunov) needs an ``eval``, and q* (max form, ``transform``) exists only for
+    L1Terminal and QuadraticTerminal. Else UnsupportedFamilyError, None included."""
+    if not (isinstance(q_spec, (L1Terminal, QuadraticTerminal)) if transform else hasattr(q_spec, "eval")):
+        raise UnsupportedFamilyError(f"no {'q*' if transform else 'eval'} for terminal {q_spec!r}")
 
 
 @dataclass(frozen=True)
@@ -270,7 +264,7 @@ class CostModel:
     """Running/terminal cost with temperature, discount, and horizon."""
 
     running: QuadraticRunning | SeparableRunning | GenericRunning
-    terminal: QuadraticTerminal | L1Terminal | GenericTerminal | None
+    terminal: QuadraticTerminal | L1Terminal | None
     alpha: float
     lam: float = 0.0
     horizon: float = math.inf
@@ -376,11 +370,9 @@ def relaxed_drift(model: DynamicsModel, x, policy: GaussianPolicy) -> np.ndarray
     """Mean drift under the relaxed Gaussian control.
 
     Linear and control-affine fields average in closed form through the policy
-    mean -Kx; the covariance never enters. Generic fields and nonlinear control
-    features have no closed-form mean drift and are rejected.
+    mean -Kx, without the covariance; nonlinear control features are rejected.
     """
-    fam = model.family
-    if not (isinstance(fam, FeatureAffine) and fam.features is _identity_features):
+    if model.family.features is not _identity_features:
         raise UnsupportedFamilyError(
             "relaxed drift has a closed form only for a field affine in the control"
         )
@@ -401,8 +393,7 @@ def simulate_sampled(
     ``steps`` substeps span ``steps * dt**2`` seconds. Controls are recorded at
     every time point including the last (where the draw is not applied).
     """
-    if not 0.0 < dt < math.inf:  # also rejects NaN
-        raise ValueError("dt must be finite and > 0")
+    require_finite_positive("dt", dt)
     if steps < 0:
         raise ValueError("steps must be >= 0")
     x = _as_vector(np.atleast_1d(x0), model.state_dim, "x0").astype(float)
@@ -483,6 +474,8 @@ def evaluate_cost(
     bounding the integrand magnitude, and reports the tail bound
     M_r e^{-lam T}/lam alongside the value.
     """
+    require_finite_positive("dt", dt)
+    require_finite_positive("tol", tol)
     entropy = gaussian_entropy(policy.covariance)
     finite = math.isfinite(cost.horizon)
     if not finite and cost.lam <= 0.0:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import write_table
+from .dynamics import check_terminal, require_finite_positive, write_table
 from .errors import DegenerateCflError, DimensionMismatchError, NoConvergenceError
 from .soft_hamiltonian import HamiltonianContext, _exponent, _node_fields, boltzmann_moments
 
@@ -264,8 +264,8 @@ def godunov_solve(
     """
     if not (0.0 < cfl <= 0.9):
         raise ValueError("cfl must be in (0, 0.9]")
-    if not 0.0 < t_final < math.inf:  # also rejects NaN
-        raise ValueError("t_final must be finite and > 0")
+    require_finite_positive("t_final", t_final)
+    check_terminal(q_spec, False)
     pts = grid.points()
     cached = _CachedHamiltonian(ctx, pts)
     w = np.asarray(q_spec.eval(pts), dtype=float).reshape(grid.nx, grid.ny)

@@ -22,20 +22,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
-    GenericTerminal,
     L1Terminal,
-    QuadraticTerminal,
     Trajectory,
+    check_terminal,
     diverged_rows,
     euler_rollout,
     make_rng,
+    require_finite_positive,
 )
 from .errors import (
     AllCharacteristicsBlewUpError,
     DimensionMismatchError,
     DivergedTrajectoryError,
     InfeasibleTransformError,
-    MaxEntError,
 )
 from .soft_hamiltonian import HamiltonianContext
 
@@ -55,12 +54,10 @@ class HopfLaxConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.ode_step < math.inf:  # also rejects NaN
-            raise ValueError("ode_step must be finite and > 0")
+        require_finite_positive("ode_step", self.ode_step)
         if self.n_starts < 1:
             raise ValueError("n_starts must be >= 1")
-        if not 0.0 < self.start_radius < math.inf:
-            raise ValueError("start_radius must be finite and > 0")
+        require_finite_positive("start_radius", self.start_radius)
         if self.simplex_iters < 1:
             raise ValueError("simplex_iters must be >= 1")
         if self.formula not in (MIN_FORM, MAX_FORM):
@@ -159,8 +156,7 @@ def integrate_characteristics(
     config: HopfLaxConfig,
 ) -> CharacteristicCurve:
     """Solve the bi-characteristic ODEs for one (x, v), stored forward in s."""
-    if not 0.0 < t < math.inf:  # also rejects NaN
-        raise ValueError("t must be finite and > 0")
+    require_finite_positive("t", t)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     n_steps = _step_count(t, config.ode_step)
@@ -177,27 +173,16 @@ def integrate_characteristics(
 
 def legendre_transform(q_spec, v) -> float:
     """Legendre-Fenchel transform q*(v) = sup_x {x.v - q(x)} by terminal family."""
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    return float(_legendre_batch(q_spec, v[None, :])[0])
+    check_terminal(q_spec, True)
+    return float(_legendre_batch(q_spec, np.atleast_1d(np.asarray(v, dtype=float))[None, :])[0])
 
 
 def _legendre_batch(q_spec, v_rows):
-    """q*(v) for each costate row of ``v_rows``."""
+    """q*(v) for each costate row of ``v_rows``; ``q_spec`` is L1 or quadratic."""
     if isinstance(q_spec, L1Terminal):
         return np.where(np.max(np.abs(v_rows), axis=1) <= 1.0, 0.0, math.inf)
-    if isinstance(q_spec, QuadraticTerminal):
-        sol = np.linalg.solve(q_spec.m, v_rows.T).T
-        return 0.5 * np.einsum("bi,bi->b", v_rows, sol)
-    if isinstance(q_spec, GenericTerminal):
-        if q_spec.search_box is None:
-            raise MaxEntError("generic terminal cost needs a search box for q*")
-        box = q_spec.search_box
-        axes = [np.linspace(lo, hi, 65) for lo, hi in zip(box.lower, box.upper)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        # grid approximation over the search box
-        return np.max(v_rows @ pts.T - q_spec.eval(pts), axis=1)
-    raise MaxEntError(f"no Legendre transform for terminal family {type(q_spec).__name__}")
+    sol = np.linalg.solve(q_spec.m, v_rows.T).T
+    return 0.5 * np.einsum("bi,bi->b", v_rows, sol)
 
 
 def _objective_batch(ctx, q_spec, x_rows, v_rows, t, n_steps, formula):
@@ -320,8 +305,8 @@ def hopf_lax_value(
     ``extra_starts`` prepends deterministic costate starts (e.g. a previous
     solve's optimizer when tracking a trajectory) to the sampled ones.
     """
-    if not 0.0 < t < math.inf:  # also rejects NaN
-        raise ValueError("t must be finite and > 0")
+    require_finite_positive("t", t)
+    check_terminal(q_spec, config.formula == MAX_FORM)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n_steps = _step_count(t, config.ode_step)
     rng = make_rng(config.seed)
@@ -365,14 +350,14 @@ def value_surface(
     and polish for ``warm_iters`` iterations. The fixed band layout (not the
     process count) determines results, so outputs are reproducible per seed.
     """
-    if not 0.0 < t < math.inf:  # also rejects NaN
-        raise ValueError("t must be finite and > 0")
+    require_finite_positive("t", t)
     if warm_iters is not None and warm_iters < 1:
         raise ValueError("warm_iters must be >= 1")
     if n_random < 0:
         raise ValueError("n_random must be >= 0")
     if n_bands < 1:
         raise ValueError("n_bands must be >= 1")
+    check_terminal(q_spec, config.formula == MAX_FORM)
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     bands = np.array_split(np.arange(len(ys)), n_bands)
@@ -511,8 +496,7 @@ def window_steps(total_t: float, window_t: float, dt: float) -> tuple[int, int]:
     exactly ``total_t``.
     """
     for name, value in (("total_t", total_t), ("window_t", window_t), ("dt", dt)):
-        if not 0.0 < value < math.inf:  # also rejects NaN
-            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        require_finite_positive(name, value)
     windows = _whole_ratio(total_t, window_t)
     if windows is None:
         raise ValueError(f"window_t {window_t} does not divide total_t {total_t}")

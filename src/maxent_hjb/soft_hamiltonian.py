@@ -285,17 +285,17 @@ class HamiltonianContext:
     def value_grad_batch(self, x, p):
         """(H, grad_p H, grad_x H) at the (B, n) rows of x and p.
 
-        For a feature-affine field f = a(x) + b(x) phi(u) with a separable running
+        For the feature-affine field f = a(x) + b(x) phi(u) with a separable running
         cost r1(x) + r2(u), grad_x H = -(d_x[p.a] + d_x[p'b] E_g[phi] + grad r1),
         with E_g[phi] from the value pass; the x-derivatives are central
-        differences of those x-only callbacks, so no node axis is involved. Any
-        other model takes central differences of H itself: 2n more passes.
+        differences of those x-only callbacks, so no node axis is involved. A
+        ``GenericRunning`` cost takes central differences of H: 2n more passes.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         p = np.atleast_2d(np.asarray(p, dtype=float))
         moments = self._moments(x, p, 1)
         fam, running = self.model.family, self.cost.running
-        if isinstance(fam, FeatureAffine) and isinstance(running, _SEPARABLE):
+        if isinstance(running, _SEPARABLE):
             phi = fam.features(self.grid.nodes)  # (N, k)
             mean_phi = moments.mass @ phi / moments.total[:, None]
             grad_x = -_central_diff(

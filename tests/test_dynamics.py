@@ -8,8 +8,8 @@ from maxent_hjb import (
     ControlBox,
     CostModel,
     DynamicsModel,
+    FeatureAffine,
     GaussianPolicy,
-    Generic,
     GenericRunning,
     Linear,
     QuadraticRunning,
@@ -27,6 +27,7 @@ from maxent_hjb.errors import (
     NotPositiveDefiniteError,
     UnsupportedFamilyError,
 )
+from maxent_hjb import dynamics
 from maxent_hjb.dynamics import DIVERGENCE_NORM, euler_rollout
 from maxent_hjb.soft_hamiltonian import HamiltonianContext, grid_entropy
 from maxent_hjb.benchmarks import vdp_plane_model
@@ -242,7 +243,9 @@ class TestEulerRollout:
         assert np.array_equal(controls, ref_controls)
 
     def test_non_finite_state_stops_the_rollout(self):
-        model = DynamicsModel(1, 1, Generic(lambda x, u: np.where(x > 1.5, np.nan, 1.0) + 0 * u))
+        model = DynamicsModel(
+            1, 1, ControlAffine(lambda x: np.where(x > 1.5, np.nan, 1.0), lambda x: np.zeros((1, 1)))
+        )
         states, controls = euler_rollout(model.eval, np.array([0.0]), 1.0, 10, lambda k, x: np.zeros(1))
         assert [float(s[0]) for s in states] == [0.0, 1.0, 2.0]
         assert len(controls) == 2
@@ -253,10 +256,9 @@ class TestGronwallBounds:
         # Appendix-style stability bound with L estimated for the clamped field
         # and C = sup_{u in U} |f(0, u)| taken over the quadrature nodes.
         base = vdp_plane_model()
+        fam = base.family
         clamped = DynamicsModel(
-            2,
-            1,
-            Generic(lambda x, u: base.eval(x, np.clip(u, -1.0, 1.0))),
+            2, 1, FeatureAffine(fam.drift, fam.input_map, lambda u: fam.features(np.clip(u, -1.0, 1.0)))
         )
         nodes = vdp_grid.nodes
         c_bound = float(
@@ -375,6 +377,25 @@ class TestEvaluateCost:
         policy = GaussianPolicy(gain=[[0.0]], covariance=[[1.0]])
         with pytest.raises(ValueError):
             evaluate_cost(model, cost, policy, [1.0], seed=0)
+
+    @pytest.mark.parametrize("horizon, lam", [(1.0, 0.0), (math.inf, 0.5)])
+    @pytest.mark.parametrize(
+        "name, value",
+        [("dt", 0.0), ("dt", -0.1), ("dt", math.nan), ("dt", math.inf),
+         ("tol", 0.0), ("tol", -1.0), ("tol", math.nan), ("tol", math.inf)],
+    )
+    def test_step_and_tolerance_rejected_before_any_simulation(
+        self, monkeypatch, horizon, lam, name, value
+    ):
+        # the step count came first: dt = 0 raised ZeroDivisionError, a NaN dt or
+        # tol failed to convert to an integer, and tol 0 or -1 divided by zero or
+        # took the log of a negative number
+        monkeypatch.setattr(dynamics, "simulate_sampled", lambda *a, **k: pytest.fail("simulated"))
+        cost = CostModel(running=QuadraticRunning(q=[[1.0]], r=[[1.0]]), terminal=None,
+                         alpha=1.0, lam=lam, horizon=horizon)
+        policy = GaussianPolicy(gain=[[0.0]], covariance=[[1.0]])
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
+            evaluate_cost(scalar_decay_model(), cost, policy, [1.0], seed=0, **{name: value})
 
     def test_generic_running_needs_grid(self):
         model = scalar_decay_model()

@@ -8,12 +8,12 @@ from maxent_hjb import (
     ControlBox,
     CostModel,
     DynamicsModel,
-    Generic,
     GenericRunning,
     Grid2D,
     GridFunction,
     HamiltonianContext,
     L1Terminal,
+    Linear,
     QuadraticTerminal,
     build_grid,
     compare_solutions,
@@ -37,20 +37,12 @@ def zero_cost_2d(alpha=1.0):
 
 def channel_2d_model():
     """f(x, u) = (u, 0): scalar control advecting the first coordinate."""
-    return DynamicsModel(
-        2,
-        1,
-        Generic(
-            lambda x, u: np.stack(np.broadcast_arrays(u[..., 0], 0.0 * x[..., 0]), axis=-1)
-        ),
-    )
+    return DynamicsModel(2, 1, Linear(a=np.zeros((2, 2)), b=[[1.0], [0.0]]))
 
 
 def sheared_channel_model():
     """f(x, u) = (u, x1): the second coordinate is control-free, with the sign of x1."""
-    return DynamicsModel(
-        2, 1, Generic(lambda x, u: np.stack(np.broadcast_arrays(u[..., 0], x[..., 0]), axis=-1))
-    )
+    return DynamicsModel(2, 1, Linear(a=[[0.0, 0.0], [1.0, 0.0]], b=[[1.0], [0.0]]))
 
 
 def count_kernel_rows(monkeypatch):
@@ -68,7 +60,7 @@ def count_kernel_rows(monkeypatch):
 
 def planar_channel_model():
     """f(x, u) = u with u in a 2-D box."""
-    return DynamicsModel(2, 2, Generic(lambda x, u: u + 0.0 * x))
+    return DynamicsModel(2, 2, Linear(a=np.zeros((2, 2)), b=np.eye(2)))
 
 
 @pytest.fixture(scope="module")
@@ -236,11 +228,7 @@ class TestGodunovSolve:
     def test_constant_hamiltonian_exact(self, monkeypatch):
         # f == 0: H = alpha log|U| everywhere, so W(T) = q - T alpha log|U|,
         # reached in 8 steps of T / 8 (one speed pass, then one flux pass a step)
-        model = DynamicsModel(
-            2, 1, Generic(lambda x, u: 0.0 * np.stack(
-                np.broadcast_arrays(x[..., 0] + u[..., 0], x[..., 1]), axis=-1
-            ))
-        )
+        model = DynamicsModel(2, 1, Linear(a=np.zeros((2, 2)), b=np.zeros((2, 1))))
         cost = zero_cost_2d(alpha=1.0)
         grid_q = build_grid(ControlBox(lower=[-1.0], upper=[1.0]), 16)
         ctx = HamiltonianContext(model=model, cost=cost, alpha=1.0, grid=grid_q)

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from maxent_hjb import (
+    ControlAffine,
     ControlBox,
     CostModel,
     DynamicsModel,
-    Generic,
     GenericRunning,
-    GenericTerminal,
+    Grid2D,
     HamiltonianContext,
     HopfLaxConfig,
     L1Terminal,
@@ -17,6 +17,7 @@ from maxent_hjb import (
     QuadraticRunning,
     QuadraticTerminal,
     build_grid,
+    godunov_solve,
     hopf_lax_value,
     integrate_characteristics,
     legendre_transform,
@@ -24,7 +25,7 @@ from maxent_hjb import (
     sample_feedback,
     value_surface,
 )
-from maxent_hjb import hopf_lax
+from maxent_hjb import godunov, hopf_lax, soft_hamiltonian
 from maxent_hjb.dynamics import euler_rollout
 from maxent_hjb.hopf_lax import window_steps
 from maxent_hjb.benchmarks import (
@@ -38,7 +39,7 @@ from maxent_hjb.errors import (
     DimensionMismatchError,
     DivergedTrajectoryError,
     InfeasibleTransformError,
-    MaxEntError,
+    UnsupportedFamilyError,
 )
 
 
@@ -52,9 +53,17 @@ def zero_scalar_cost(alpha=1.0):
     )
 
 
-def squared_field(x, u):
+def squared_model(n):
     """x' = x^2 per axis, whatever the control."""
-    return x**2 + 0.0 * u[..., :1]
+    return DynamicsModel(n, 1, ControlAffine(lambda x: x**2, lambda x: np.zeros((n, 1))))
+
+
+class _AbsX1:
+    """q(x) = |x_1|: a terminal cost with ``eval`` but no closed-form q*."""
+
+    @staticmethod
+    def eval(x):
+        return np.abs(np.asarray(x)[..., 0])
 
 
 @pytest.fixture(scope="module")
@@ -119,9 +128,7 @@ class TestCharacteristics:
 
     def test_degenerate_hamiltonian_constant_curve(self):
         # f == 0, r == 0: both characteristic right-hand sides vanish
-        model = DynamicsModel(
-            1, 1, Generic(lambda x, u: 0.0 * (x[..., :1] + u[..., :1]))
-        )
+        model = DynamicsModel(1, 1, Linear(a=[[0.0]], b=[[0.0]]))
         cost = zero_scalar_cost()
         grid = build_grid(ControlBox(lower=[-1.0], upper=[1.0]), 32)
         ctx = HamiltonianContext(model=model, cost=cost, alpha=1.0, grid=grid)
@@ -140,9 +147,7 @@ class TestCharacteristics:
 
     def test_blowup_flagged(self):
         # backward flow of gamma' = -gamma^2 from x=2 blows up inside t=1
-        model = DynamicsModel(
-            1, 1, Generic(lambda x, u: x[..., :1] ** 2 + 0.0 * u[..., :1])
-        )
+        model = squared_model(1)
         cost = zero_scalar_cost()
         grid = build_grid(ControlBox(lower=[-1.0], upper=[1.0]), 16)
         ctx = HamiltonianContext(model=model, cost=cost, alpha=1.0, grid=grid)
@@ -167,18 +172,10 @@ class TestLegendreTransform:
             0.5 * float(v @ v)
         )
 
-    def test_generic_needs_box(self):
-        q = GenericTerminal(fn=lambda x: np.sum(x**2, axis=-1))
-        with pytest.raises(MaxEntError):
-            legendre_transform(q, [1.0])
-
-    def test_generic_grid_approximation(self):
-        # 1/2 x^2 on a wide box: q*(v) = v^2 / 2 within grid resolution
-        q = GenericTerminal(
-            fn=lambda x: 0.5 * np.sum(x**2, axis=-1),
-            search_box=ControlBox(lower=[-4.0], upper=[4.0]),
-        )
-        assert legendre_transform(q, [1.0]) == pytest.approx(0.5, abs=1e-2)
+    def test_no_transform_outside_l1_and_quadratic(self):
+        for q in (None, _AbsX1()):
+            with pytest.raises(UnsupportedFamilyError):
+                legendre_transform(q, [1.0])
 
 
 class TestHopfLaxValue:
@@ -249,9 +246,7 @@ class TestHopfLaxValue:
         assert np.array_equal(a.argmin_v, b.argmin_v)
 
     def test_all_blowup_raises(self):
-        model = DynamicsModel(
-            1, 1, Generic(lambda x, u: x[..., :1] ** 2 + 0.0 * u[..., :1])
-        )
+        model = squared_model(1)
         cost = zero_scalar_cost()
         grid = build_grid(ControlBox(lower=[-1.0], upper=[1.0]), 16)
         ctx = HamiltonianContext(model=model, cost=cost, alpha=1.0, grid=grid)
@@ -263,9 +258,7 @@ class TestHopfLaxValue:
     def test_all_blowup_raises_in_both_forms(self, formula):
         # q* of a quadratic terminal is finite everywhere, so when every curve
         # blows up the max form must not report an infeasible transform
-        model = DynamicsModel(
-            1, 1, Generic(lambda x, u: x[..., :1] ** 2 + 0.0 * u[..., :1])
-        )
+        model = squared_model(1)
         cost = zero_scalar_cost()
         grid = build_grid(ControlBox(lower=[-1.0], upper=[1.0]), 16)
         ctx = HamiltonianContext(model=model, cost=cost, alpha=1.0, grid=grid)
@@ -344,7 +337,7 @@ class TestValueSurface:
     @pytest.mark.parametrize("processes", [1, 2])
     def test_point_with_no_finite_start_raises(self, processes):
         # x' = x^2 per axis: every curve from a point far enough out blows up by t = 1
-        model = DynamicsModel(2, 1, Generic(squared_field))
+        model = squared_model(2)
         # a running cost of almost zero: only the blow-up decides the values
         cost = CostModel(running=QuadraticRunning(q=np.zeros((2, 2)), r=[[1e-12]]),
                          terminal=L1Terminal(), alpha=1.0, lam=0.0, horizon=1.0)
@@ -358,7 +351,7 @@ class TestValueSurface:
 
     def test_lambda_context_sweeps_in_fork_workers(self):
         # fork workers inherit the context, so lambdas need no pickling
-        model = DynamicsModel(2, 1, Generic(lambda x, u: -x + u[..., :1]))
+        model = DynamicsModel(2, 1, ControlAffine(lambda x: -x, lambda x: np.ones((2, 1))))
         running = GenericRunning(lambda x, u: 0.5 * (np.sum(x**2, axis=-1) + u[..., 0] ** 2))
         cost = CostModel(running=running, terminal=L1Terminal(), alpha=1.0, lam=0.0, horizon=1.0)
         grid = build_grid(ControlBox(lower=[-1.0], upper=[1.0]), 8)
@@ -408,7 +401,7 @@ class TestFeedbackSynthesis:
 
 def _plane_channel_ctx(alpha, nodes_per_dim):
     """f = u, r = 0 on U = [-1, 1]^2."""
-    model = DynamicsModel(2, 2, Generic(lambda x, u: u + 0.0 * x))
+    model = DynamicsModel(2, 2, Linear(a=np.zeros((2, 2)), b=np.eye(2)))
     cost = CostModel(
         running=GenericRunning(lambda x, u: 0.0 * (x[..., 0] + u[..., 0])),
         terminal=None,
@@ -492,11 +485,50 @@ class TestFeedbackSampler:
         assert np.all(np.abs(counts / n - share) <= 4.0 * stderr)
 
 
+class TestTerminalFamilyRule:
+    """A terminal cost of no known family, None included, raises
+    UnsupportedFamilyError at every solver entry point before any kernel call."""
+
+    ENTRIES = {
+        "hopf_lax_value": lambda ctx, q, cfg: hopf_lax_value(ctx, q, [0.1, 0.2], 0.5, cfg),
+        "value_surface": lambda ctx, q, cfg: value_surface(
+            ctx, q, np.linspace(-0.5, 0.5, 3), np.linspace(-0.5, 0.5, 3), 0.5, cfg),
+        "receding_horizon_control": lambda ctx, q, cfg: receding_horizon_control(
+            ctx, [0.1, 0.2], 0.5, 0.5, cfg, dt=0.5),
+        "godunov_solve": lambda ctx, q, cfg: godunov_solve(
+            ctx, q, Grid2D(-1.0, 1.0, -1.0, 1.0, 8, 8), 0.5),
+    }
+
+    @pytest.fixture
+    def no_kernel(self, monkeypatch):
+        def fail(*args, **kwargs):
+            pytest.fail("a kernel call ran")
+
+        monkeypatch.setattr(soft_hamiltonian, "boltzmann_moments", fail)
+        monkeypatch.setattr(godunov, "boltzmann_moments", fail)
+
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    @pytest.mark.parametrize("formula", ["min", "max"])
+    def test_missing_terminal_rejected(self, no_kernel, entry, formula):
+        # the min form and Godunov died with AttributeError on None.eval
+        ctx = _plane_channel_ctx(alpha=1.0, nodes_per_dim=4)
+        assert ctx.cost.terminal is None
+        cfg = HopfLaxConfig(ode_step=0.25, n_starts=2, simplex_iters=2, formula=formula)
+        with pytest.raises(UnsupportedFamilyError, match="None"):
+            self.ENTRIES[entry](ctx, ctx.cost.terminal, cfg)
+
+    @pytest.mark.parametrize("entry", ["hopf_lax_value", "value_surface"])
+    def test_max_form_needs_a_closed_form_transform(self, no_kernel, entry):
+        # a terminal with eval serves the min form, but q* exists for L1 and quadratic only
+        ctx = _plane_channel_ctx(alpha=1.0, nodes_per_dim=4)
+        cfg = HopfLaxConfig(ode_step=0.25, n_starts=2, simplex_iters=2, formula="max")
+        with pytest.raises(UnsupportedFamilyError, match="q\\*"):
+            self.ENTRIES[entry](ctx, _AbsX1(), cfg)
+
+
 class TestRecedingHorizon:
     def test_zero_field_constant_trajectory(self):
-        model = DynamicsModel(
-            1, 1, Generic(lambda x, u: 0.0 * (x[..., :1] + u[..., :1]))
-        )
+        model = DynamicsModel(1, 1, Linear(a=[[0.0]], b=[[0.0]]))
         cost = zero_scalar_cost()
         grid = build_grid(ControlBox(lower=[-1.0], upper=[1.0]), 16)
         ctx = HamiltonianContext(model=model, cost=cost, alpha=1.0, grid=grid)

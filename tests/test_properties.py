@@ -1,5 +1,6 @@
 """Property tests pinning the invariants of the Boltzmann-moment kernel, the
-Godunov flux, the LQ algebra and the learners' block rollout."""
+Godunov flux, the Van der Pol value's point symmetry, the LQ algebra and the
+learners' block rollout."""
 
 import numpy as np
 import pytest
@@ -10,11 +11,15 @@ from maxent_hjb import (
     CostModel,
     HiddenLqSystem,
     GenericRunning,
+    Grid2D,
     HamiltonianContext,
+    HopfLaxConfig,
     LqProblem,
     boltzmann_moments,
     build_grid,
     godunov_flux,
+    godunov_solve,
+    hopf_lax_value,
     kleinman_iterate,
     make_stable_system,
 )
@@ -194,6 +199,18 @@ def test_cached_hamiltonian_matches_value_batch_bitwise(xp, alpha):
     ctx = HamiltonianContext(model=MODEL, cost=COST, alpha=alpha, grid=GRID)
     cached = _CachedHamiltonian(ctx, xs)
     assert np.array_equal(cached.value(ps), ctx.value_batch(xs, ps))
+
+
+def test_vdp_value_is_point_symmetric():
+    # f(-x, -u) = -f(x, u), r and q are even and U = [-1, 1], so W(t, -x) = W(t, x).
+    # Each bound is about 3x its measurement: 1.8e-15 for Godunov at 41^2 and
+    # 6.0e-15 for the converged Hopf-Lax pair (16 starts x 200 iterations).
+    w = godunov_solve(_ctx(1.0), COST.terminal, Grid2D(-2.0, 2.0, -2.0, 2.0, 41, 41), 0.1).values
+    assert np.max(np.abs(w - w[::-1, ::-1])) <= 5e-15
+    cfg = HopfLaxConfig(ode_step=0.025, n_starts=16, start_radius=5.0, simplex_iters=200, seed=0)
+    x = np.array([0.7, -0.4])
+    pair = [hopf_lax_value(_ctx(1.0), COST.terminal, s * x, 0.1, cfg).value for s in (1.0, -1.0)]
+    assert abs(pair[0] - pair[1]) <= 2e-14
 
 
 dims = st.integers(1, 6)

@@ -9,7 +9,6 @@ from maxent_hjb import (
     ControlBox,
     CostModel,
     DynamicsModel,
-    Generic,
     GenericRunning,
     HamiltonianContext,
     Linear,
@@ -308,8 +307,8 @@ class TestGridSelfCheck:
 
 
 def _vdp_plane_reference(x, u):
-    """The planar Van der Pol field written out in one piece: the Generic twin
-    of the feature-form ``vdp_plane_model``."""
+    """The planar Van der Pol field written out in one piece, against which the
+    feature-form ``vdp_plane_model`` is checked."""
     x1, x2, uu = x[..., 0], x[..., 1], u[..., 0]
     channel = uu + uu**3 / 3.0 + np.sin(uu)
     f2 = -2.0 * (x1**2 - 1.0) * x2 - x1 + (2.0 + np.sin(x1 * x2)) * channel
@@ -379,10 +378,11 @@ class TestStructuralGradient:
         cost = vdp_plane_cost()
         grid = build_grid(vdp_control_box(), 32)
         feature = HamiltonianContext(vdp_plane_model(), cost, 1.0, grid)
+        # the same field with the cost written as one GenericRunning callback,
+        # which takes the central differences of H
         twin_cost = CostModel(running=GenericRunning(_l1_running_reference),
                               terminal=cost.terminal, alpha=1.0, horizon=cost.horizon)
-        twin = HamiltonianContext(DynamicsModel(2, 1, Generic(_vdp_plane_reference)),
-                                  twin_cost, 1.0, grid)
+        twin = HamiltonianContext(vdp_plane_model(), twin_cost, 1.0, grid)
         rng = np.random.default_rng(11)
         x = rng.uniform(-2.0, 2.0, (4000, 2))
         p = rng.uniform(-3.0, 3.0, (4000, 2))
@@ -405,8 +405,8 @@ class TestStructuralGradient:
         assert np.array_equal(model.eval(x[:, 0], u[0, :1]), reference(x[:, 0], u[0, :1]))
 
     def test_one_quadrature_pass_per_call(self, monkeypatch):
-        # the feature form passes B rows through the node axis; the Generic twin
-        # 2n + 1 times as many, for its central differences of H
+        # the separable cost passes B rows through the node axis; its GenericRunning
+        # twin 2n + 1 times as many, for its central differences of H
         module = importlib.import_module("maxent_hjb.soft_hamiltonian")
         rows = []
         node_fields = module._node_fields
@@ -422,6 +422,7 @@ class TestStructuralGradient:
         HamiltonianContext(vdp_plane_model(), cost, 1.0, grid).value_grad_batch(x, x)
         assert rows == [10]
         rows.clear()
-        twin = DynamicsModel(2, 1, Generic(_vdp_plane_reference))
-        HamiltonianContext(twin, cost, 1.0, grid).value_grad_batch(x, x)
+        twin_cost = CostModel(running=GenericRunning(_l1_running_reference),
+                              terminal=cost.terminal, alpha=1.0, horizon=cost.horizon)
+        HamiltonianContext(vdp_plane_model(), twin_cost, 1.0, grid).value_grad_batch(x, x)
         assert sum(rows) == 10 * 5
